@@ -11,6 +11,53 @@ BitBlaster::BitBlaster(TermManager& tm, SatSolver& sat) : tm_(tm), sat_(sat) {
   sat_.addUnit(trueLit_);
 }
 
+void BitBlaster::reset() {
+  for (const TermId id : blastedIds_) blastedSlot_[id] = 0;
+  blastedIds_.clear();
+  blasted_.clear();
+  varTerms_.clear();
+  andCache_.clear();
+  xorCache_.clear();
+  stats_ = Stats{};
+  trueLit_ = Lit(sat_.newVar(), false);
+  sat_.addUnit(trueLit_);
+}
+
+size_t BitBlaster::GateTable::probe(uint64_t key) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = static_cast<size_t>(key * 0x9e3779b97f4a7c15ull >> 16) & mask;
+  while (slots_[i].key != key && slots_[i].key != kEmpty) i = (i + 1) & mask;
+  return i;
+}
+
+Lit& BitBlaster::GateTable::lookup(uint64_t key, bool* found) {
+  // Keep the load at most 1/2 (counting the entry about to be stored).
+  if (2 * (used_.size() + 1) > slots_.size()) {
+    std::vector<Slot> old(std::max<size_t>(64, 2 * slots_.size()));
+    old.swap(slots_);
+    used_.clear();
+    for (const Slot& s : old) {
+      if (s.key == kEmpty) continue;
+      const size_t i = probe(s.key);
+      slots_[i] = s;
+      used_.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  const size_t i = probe(key);
+  Slot& s = slots_[i];
+  *found = s.key == key;
+  if (!*found) {
+    s.key = key;
+    used_.push_back(static_cast<uint32_t>(i));
+  }
+  return s.out;
+}
+
+void BitBlaster::GateTable::clear() {
+  for (const uint32_t i : used_) slots_[i] = Slot{};
+  used_.clear();
+}
+
 void BitBlaster::setTelemetry(telemetry::Telemetry* t) {
   gatesCtr_ = t ? &t->metrics().counter("blast.gates") : nullptr;
   termsCtr_ = t ? &t->metrics().counter("blast.terms_blasted") : nullptr;
@@ -30,16 +77,17 @@ Lit BitBlaster::mkAnd2(Lit a, Lit b) {
   if (a == b) return a;
   if (a == ~b) return falseLit();
   if (a.x > b.x) std::swap(a, b);
-  const auto key = std::make_pair(a.x, b.x);
-  if (auto it = andCache_.find(key); it != andCache_.end()) {
+  bool found = false;
+  Lit& slot = andCache_.lookup(uint64_t{a.x} << 32 | b.x, &found);
+  if (found) {
     ++stats_.cacheHits;
-    return it->second;
+    return slot;
   }
   const Lit o = freshLit();
   sat_.addBinary(~o, a);
   sat_.addBinary(~o, b);
   sat_.addTernary(~a, ~b, o);
-  andCache_.emplace(key, o);
+  slot = o;
   return o;
 }
 
@@ -55,21 +103,19 @@ Lit BitBlaster::mkXor2(Lit a, Lit b) {
   if (a.sign()) { a = ~a; flip = !flip; }
   if (b.sign()) { b = ~b; flip = !flip; }
   if (a.x > b.x) std::swap(a, b);
-  const auto key = std::make_pair(a.x, b.x);
-  auto it = xorCache_.find(key);
-  Lit o;
-  if (it != xorCache_.end()) {
+  bool found = false;
+  Lit& slot = xorCache_.lookup(uint64_t{a.x} << 32 | b.x, &found);
+  if (found) {
     ++stats_.cacheHits;
-    o = it->second;
   } else {
-    o = freshLit();
+    const Lit o = freshLit();
     sat_.addTernary(~a, ~b, ~o);
     sat_.addTernary(a, b, ~o);
     sat_.addTernary(~a, b, o);
     sat_.addTernary(a, ~b, o);
-    xorCache_.emplace(key, o);
+    slot = o;
   }
-  return flip ? ~o : o;
+  return flip ? ~slot : slot;
 }
 
 Lit BitBlaster::mkMux(Lit c, Lit t, Lit e) {
@@ -202,7 +248,7 @@ BitBlaster::Bits BitBlaster::shiftCirc(Kind kind, const Bits& a, const Bits& sh)
 }
 
 const BitBlaster::Bits& BitBlaster::blast(TermId id) {
-  if (auto it = blasted_.find(id); it != blasted_.end()) return it->second;
+  if (const Bits* done = findBlasted(id)) return *done;
 
   // Iterative DFS so deep path-condition cones don't overflow the stack.
   std::vector<std::pair<TermId, bool>> stack;
@@ -210,7 +256,7 @@ const BitBlaster::Bits& BitBlaster::blast(TermId id) {
   while (!stack.empty()) {
     auto [cur, expanded] = stack.back();
     stack.pop_back();
-    if (blasted_.count(cur)) continue;
+    if (findBlasted(cur) != nullptr) continue;
     const TermNode& n = tm_.node(cur);
     if (!expanded) {
       stack.emplace_back(cur, true);
@@ -223,9 +269,9 @@ const BitBlaster::Bits& BitBlaster::blast(TermId id) {
     if (termsCtr_) termsCtr_->add();
     const unsigned w = n.width;
     Bits out;
-    auto A = [&]() -> const Bits& { return blasted_.at(n.a); };
-    auto B = [&]() -> const Bits& { return blasted_.at(n.b); };
-    auto C = [&]() -> const Bits& { return blasted_.at(n.c); };
+    auto A = [&]() -> const Bits& { return *findBlasted(n.a); };
+    auto B = [&]() -> const Bits& { return *findBlasted(n.b); };
+    auto C = [&]() -> const Bits& { return *findBlasted(n.c); };
     switch (n.kind) {
       case Kind::Const: {
         out.resize(w);
@@ -325,9 +371,12 @@ const BitBlaster::Bits& BitBlaster::blast(TermId id) {
       case Kind::Ite: out = muxBits(A()[0], B(), C()); break;
     }
     check(out.size() == w, "bitblast produced wrong width");
-    blasted_.emplace(cur, std::move(out));
+    if (cur >= blastedSlot_.size()) blastedSlot_.resize(cur + 1, 0);
+    blasted_.push_back(std::move(out));
+    blastedSlot_[cur] = static_cast<uint32_t>(blasted_.size());
+    blastedIds_.push_back(cur);
   }
-  return blasted_.at(id);
+  return *findBlasted(id);
 }
 
 Lit BitBlaster::litFor(TermRef t) {

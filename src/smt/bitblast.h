@@ -4,7 +4,7 @@
 // the eager QF_BV pipeline of the SMT substrate (DESIGN.md S2).
 #pragma once
 
-#include <unordered_map>
+#include <deque>
 #include <vector>
 
 #include "smt/sat.h"
@@ -16,6 +16,12 @@ namespace adlsym::smt {
 class BitBlaster {
  public:
   BitBlaster(TermManager& tm, SatSolver& sat);
+
+  /// Return to the just-constructed state over a SAT core that has just
+  /// been reset (SatSolver::reset()): forget every blasted term and gate,
+  /// zero the stats, and allocate the constant-true literal again. Table
+  /// capacity is kept; attached telemetry stays attached.
+  void reset();
 
   /// SAT literal representing a width-1 term; encodes the term's cone into
   /// the solver on first use.
@@ -40,7 +46,7 @@ class BitBlaster {
     uint64_t cacheHits = 0;  // structural gate-cache hits
     uint64_t termsBlasted = 0;
 
-    /// Aggregate (fresh-solve mode sums one throwaway blaster per query).
+    /// Aggregate (fresh-solve mode sums its scratch blaster over queries).
     Stats& operator+=(const Stats& o) {
       gates += o.gates;
       cacheHits += o.cacheHits;
@@ -82,20 +88,45 @@ class BitBlaster {
   Bits muxBits(Lit c, const Bits& t, const Bits& e);
 
   const Bits& blast(TermId id);
+  const Bits* findBlasted(TermId id) const {
+    return id < blastedSlot_.size() && blastedSlot_[id] != 0
+               ? &blasted_[blastedSlot_[id] - 1]
+               : nullptr;
+  }
+
+  /// Structural gate cache: open addressing over the normalised input
+  /// pair (a.x << 32 | b.x), linear probing, cleared in O(entries used).
+  class GateTable {
+   public:
+    /// The output slot for `key`: *found tells whether it holds a cached
+    /// gate; if not, the caller stores the new gate's output there before
+    /// the next lookup.
+    Lit& lookup(uint64_t key, bool* found);
+    void clear();
+
+   private:
+    static constexpr uint64_t kEmpty = ~uint64_t{0};  // no valid lit pair
+    struct Slot {
+      uint64_t key = kEmpty;
+      Lit out;
+    };
+    size_t probe(uint64_t key) const;
+    std::vector<Slot> slots_;     // power-of-two size
+    std::vector<uint32_t> used_;  // occupied slot indices
+  };
 
   TermManager& tm_;
   SatSolver& sat_;
   Lit trueLit_;
-  std::unordered_map<TermId, Bits> blasted_;
+  // Blasted terms: blastedSlot_[id] is 1 + the index into blasted_ (0 =
+  // not blasted); blastedIds_ lists the ids set, so reset() is
+  // O(terms blasted). A deque keeps handed-out Bits references stable.
+  std::vector<uint32_t> blastedSlot_;
+  std::deque<Bits> blasted_;
+  std::vector<TermId> blastedIds_;
   std::vector<std::pair<TermId, Bits>> varTerms_;
-
-  struct PairHash {
-    size_t operator()(const std::pair<uint32_t, uint32_t>& p) const {
-      return (static_cast<uint64_t>(p.first) << 32 | p.second) * 0x9e3779b97f4a7c15ull >> 16;
-    }
-  };
-  std::unordered_map<std::pair<uint32_t, uint32_t>, Lit, PairHash> andCache_;
-  std::unordered_map<std::pair<uint32_t, uint32_t>, Lit, PairHash> xorCache_;
+  GateTable andCache_;
+  GateTable xorCache_;
   Stats stats_;
 
   telemetry::Counter* gatesCtr_ = nullptr;

@@ -117,7 +117,8 @@ size_t serializeTerm(const TermManager& tm, TermId root, VarMode mode,
 
 std::string QueryCache::canonicalKey(const std::vector<TermRef>& permanent,
                                      const std::vector<TermRef>& assumptions,
-                                     std::vector<TermRef>* slotVars) {
+                                     std::vector<TermRef>* slotVars,
+                                     SortKeyMemo* memo) {
   if (slotVars != nullptr) slotVars->clear();
   // The query is the *set* permanent ∪ assumptions; order and duplicates
   // don't affect satisfiability. Within one pool, structural equality is
@@ -145,38 +146,40 @@ std::string QueryCache::canonicalKey(const std::vector<TermRef>& permanent,
   // Pass 1: per-constraint sort keys. Primary key is name-*blind* so the
   // order (and hence the α-renaming below) is invariant under variable
   // renamings that don't collide structurally; the name-aware secondary
-  // key keeps the order deterministic within one pool.
+  // key keeps the order deterministic within one pool. Memoised by id.
+  SortKeyMemo local;
+  SortKeyMemo& sortKeys = memo != nullptr ? *memo : local;
   struct Item {
-    std::string blind;
-    std::string named;
+    const SortKeys* keys;  // owned by sortKeys; node-based, so stable
     TermId id;
   };
   std::vector<Item> items;
   items.reserve(terms.size());
+  std::unordered_map<TermId, size_t> nodeIdx;
   for (const TermRef t : terms) {
-    Item it;
-    it.id = t.id();
-    std::unordered_map<TermId, size_t> memo;
-    serializeTerm(*mgr, t.id(), VarMode::Blind, memo, it.blind, nullptr,
-                  nullptr, nullptr);
-    memo.clear();
-    serializeTerm(*mgr, t.id(), VarMode::Named, memo, it.named, nullptr,
-                  nullptr, nullptr);
-    items.push_back(std::move(it));
+    auto [it, inserted] = sortKeys.try_emplace(t.id());
+    if (inserted) {
+      serializeTerm(*mgr, t.id(), VarMode::Blind, nodeIdx, it->second.blind,
+                    nullptr, nullptr, nullptr);
+      nodeIdx.clear();
+      serializeTerm(*mgr, t.id(), VarMode::Named, nodeIdx, it->second.named,
+                    nullptr, nullptr, nullptr);
+      nodeIdx.clear();
+    }
+    items.push_back(Item{&it->second, t.id()});
   }
   std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-    if (a.blind != b.blind) return a.blind < b.blind;
-    return a.named < b.named;
+    if (a.keys->blind != b.keys->blind) return a.keys->blind < b.keys->blind;
+    return a.keys->named < b.keys->named;
   });
 
   // Pass 2: one global DAG walk over the sorted set, variables α-renamed
   // to dense slots in first-occurrence order.
   std::string key;
-  std::unordered_map<TermId, size_t> memo;
   std::unordered_map<std::string, size_t> slotByName;
   for (const Item& it : items) {
-    const size_t root = serializeTerm(*mgr, it.id, VarMode::Slot, memo, key,
-                                      &slotByName, slotVars, mgr);
+    const size_t root = serializeTerm(*mgr, it.id, VarMode::Slot, nodeIdx,
+                                      key, &slotByName, slotVars, mgr);
     key += 'R';
     appendNum(key, root);
     key += ';';

@@ -14,9 +14,11 @@
 // client translates slots back to its own pool's variables through the
 // slotVars mapping returned by canonicalKey. This is what makes cached
 // models *canonical*: every distinct key is solved exactly once (single-
-// flight), on a fresh solver whose CNF depends only on term structure, so
-// the model a worker observes is independent of scheduling — the
-// cornerstone of the -j1 == -jN determinism guarantee.
+// flight), from scratch on the worker's reset scratch core, whose CNF and
+// search depend only on term structure, so the model a worker observes is
+// independent of scheduling — the cornerstone of the -j1 == -jN
+// determinism guarantee. Key computation memoises each constraint's sort
+// keys per worker, keyed by TermId (SortKeyMemo).
 //
 // Concurrency: one mutex + condvar. acquire() is single-flight — the
 // first caller of a key becomes its *owner* and must publish() (verdict +
@@ -152,14 +154,29 @@ class QueryCache {
   /// (same caveat as cross-jN determinism). Throws InputError.
   void restoreFromCkpt(const json::Value& v);
 
+  /// The two per-constraint sort keys of canonicalKey's first pass: the
+  /// name-blind and the name-aware serialization of one constraint term.
+  struct SortKeys {
+    std::string blind;
+    std::string named;
+  };
+  /// Memo of SortKeys by TermId. A term's sort keys depend only on its
+  /// structure, and a pool is append-only, so entries never go stale. The
+  /// ids are one TermManager's: a memo belongs to one worker (its
+  /// SmtSolver) and is never shared between pools or threads.
+  using SortKeyMemo = std::unordered_map<TermId, SortKeys>;
+
   /// Canonical serialization of permanent ∪ assumptions (see file
   /// comment). `slotVars`, when non-null, receives the caller-pool Var
   /// term for each α-slot, in slot order — the model translation table.
+  /// `memo`, when non-null, caches the per-constraint sort keys across
+  /// calls on one pool; the key is the same with or without it.
   /// True assumptions are skipped; callers must short-circuit constant-
   /// false assumptions *before* keying (they never reach the solver).
   static std::string canonicalKey(const std::vector<TermRef>& permanent,
                                   const std::vector<TermRef>& assumptions,
-                                  std::vector<TermRef>* slotVars);
+                                  std::vector<TermRef>* slotVars,
+                                  SortKeyMemo* memo = nullptr);
 
  private:
   struct Entry {

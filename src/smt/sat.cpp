@@ -21,6 +21,30 @@ uint64_t luby(uint64_t i) {
 
 SatSolver::SatSolver() = default;
 
+void SatSolver::reset() {
+  for (size_t i = 0; i < 2 * size_t{numVars()}; ++i) watches_[i].clear();
+  clauses_.clear();
+  arena_.clear();
+  assigns_.clear();
+  savedPhase_.clear();
+  reason_.clear();
+  level_.clear();
+  trail_.clear();
+  trailLims_.clear();
+  qhead_ = 0;
+  activity_.clear();
+  varInc_ = 1.0;
+  clauseInc_ = 1.0;
+  heap_.clear();
+  seen_.clear();
+  unsatisfiable_ = false;
+  stats_ = Stats{};
+  conflictBudget_ = 0;
+  deadlineClock_ = nullptr;
+  deadlineMicros_ = 0;
+  learnedLimit_ = 4096;
+}
+
 uint32_t SatSolver::newVar() {
   const uint32_t v = static_cast<uint32_t>(assigns_.size());
   assigns_.push_back(kUndef);
@@ -29,8 +53,9 @@ uint32_t SatSolver::newVar() {
   level_.push_back(0);
   activity_.push_back(0.0);
   seen_.push_back(0);
-  watches_.emplace_back();
-  watches_.emplace_back();
+  if (watches_.size() < 2 * size_t{numVars()}) {
+    watches_.resize(2 * size_t{numVars()});
+  }
   heapPush(v);
   return v;
 }
@@ -40,49 +65,58 @@ void SatSolver::heapPush(uint32_t v) {
   std::push_heap(heap_.begin(), heap_.end());
 }
 
-bool SatSolver::addClause(std::vector<Lit> lits) {
+bool SatSolver::addClause(const Lit* lits, size_t n) {
   if (unsatisfiable_) return false;
   // After a Sat result the trail still holds the model; new clauses (e.g.
   // from incremental bit-blasting) first unwind to the root level.
   backtrack(0);
-  // Normalize: drop duplicate and false literals; detect tautologies and
-  // already-satisfied clauses at level 0.
-  std::sort(lits.begin(), lits.end(),
+  // Normalize in addTmp_: drop duplicate and false literals; detect
+  // tautologies and already-satisfied clauses at level 0.
+  addTmp_.assign(lits, lits + n);
+  std::sort(addTmp_.begin(), addTmp_.end(),
             [](Lit a, Lit b) { return a.x < b.x; });
-  std::vector<Lit> out;
-  out.reserve(lits.size());
-  for (size_t i = 0; i < lits.size(); ++i) {
-    const Lit l = lits[i];
-    if (i + 1 < lits.size() && lits[i + 1] == ~l) return true;  // tautology
-    if (!out.empty() && out.back() == l) continue;
+  size_t out = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const Lit l = addTmp_[i];
+    if (i + 1 < n && addTmp_[i + 1] == ~l) return true;  // tautology
+    if (out != 0 && addTmp_[out - 1] == l) continue;
     check(l.var() < numVars(), "clause literal references unknown variable");
     const LBool v = litValue(l);
     if (v == kTrue) return true;  // satisfied at level 0
     if (v == kFalse) continue;    // falsified at level 0: drop
-    out.push_back(l);
+    addTmp_[out++] = l;
   }
-  if (out.empty()) {
+  if (out == 0) {
     unsatisfiable_ = true;
     return false;
   }
-  if (out.size() == 1) {
-    enqueue(out[0], -1);
+  if (out == 1) {
+    enqueue(addTmp_[0], -1);
     if (propagate() != -1) {
       unsatisfiable_ = true;
       return false;
     }
     return true;
   }
-  const uint32_t idx = static_cast<uint32_t>(clauses_.size());
-  clauses_.push_back(Clause{std::move(out), 0.0, false, false});
-  attachClause(idx);
+  attachClause(pushClause(addTmp_.data(), out, /*learned=*/false));
   return true;
 }
 
+uint32_t SatSolver::pushClause(const Lit* lits, size_t n, bool learned) {
+  const uint32_t idx = static_cast<uint32_t>(clauses_.size());
+  Clause c;
+  c.offset = static_cast<uint32_t>(arena_.size());
+  c.size = static_cast<uint32_t>(n);
+  c.learned = learned;
+  arena_.insert(arena_.end(), lits, lits + n);
+  clauses_.push_back(c);
+  return idx;
+}
+
 void SatSolver::attachClause(uint32_t idx) {
-  const Clause& c = clauses_[idx];
-  watches_[(~c.lits[0]).x].push_back({idx, c.lits[1]});
-  watches_[(~c.lits[1]).x].push_back({idx, c.lits[0]});
+  const Lit* c = lits(clauses_[idx]);
+  watches_[(~c[0]).x].push_back({idx, c[1]});
+  watches_[(~c[1]).x].push_back({idx, c[0]});
 }
 
 void SatSolver::enqueue(Lit l, int32_t reasonClause) {
@@ -105,20 +139,20 @@ int32_t SatSolver::propagate() {
         ws[keep++] = w;
         continue;
       }
-      Clause& c = clauses_[w.clauseIdx];
-      if (c.removed) continue;  // lazily detach deleted clauses
+      const Clause& c = clauses_[w.clauseIdx];
+      Lit* cl = lits(c);
       // Ensure the false literal ~p is at position 1.
-      if (c.lits[0] == ~p) std::swap(c.lits[0], c.lits[1]);
-      if (litValue(c.lits[0]) == kTrue) {
-        ws[keep++] = {w.clauseIdx, c.lits[0]};
+      if (cl[0] == ~p) std::swap(cl[0], cl[1]);
+      if (litValue(cl[0]) == kTrue) {
+        ws[keep++] = {w.clauseIdx, cl[0]};
         continue;
       }
       // Look for a new literal to watch.
       bool moved = false;
-      for (size_t k = 2; k < c.lits.size(); ++k) {
-        if (litValue(c.lits[k]) != kFalse) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[(~c.lits[1]).x].push_back({w.clauseIdx, c.lits[0]});
+      for (size_t k = 2; k < c.size; ++k) {
+        if (litValue(cl[k]) != kFalse) {
+          std::swap(cl[1], cl[k]);
+          watches_[(~cl[1]).x].push_back({w.clauseIdx, cl[0]});
           moved = true;
           break;
         }
@@ -126,14 +160,14 @@ int32_t SatSolver::propagate() {
       if (moved) continue;
       // Clause is unit or conflicting.
       ws[keep++] = w;
-      if (litValue(c.lits[0]) == kFalse) {
+      if (litValue(cl[0]) == kFalse) {
         // Conflict: keep remaining watchers, then report.
         for (size_t k = i + 1; k < ws.size(); ++k) ws[keep++] = ws[k];
         ws.resize(keep);
         qhead_ = trail_.size();
         return static_cast<int32_t>(w.clauseIdx);
       }
-      enqueue(c.lits[0], static_cast<int32_t>(w.clauseIdx));
+      enqueue(cl[0], static_cast<int32_t>(w.clauseIdx));
     }
     ws.resize(keep);
   }
@@ -162,8 +196,8 @@ void SatSolver::bumpClause(Clause& c) {
   }
 }
 
-void SatSolver::analyze(int32_t conflictIdx, std::vector<Lit>& learnt,
-                        unsigned& btLevel) {
+unsigned SatSolver::analyze(int32_t conflictIdx) {
+  std::vector<Lit>& learnt = learnt_;
   learnt.clear();
   learnt.push_back(Lit());  // slot for the asserting literal
   const unsigned curLevel = static_cast<unsigned>(trailLims_.size());
@@ -176,9 +210,10 @@ void SatSolver::analyze(int32_t conflictIdx, std::vector<Lit>& learnt,
     check(confl != -1, "analyze: missing reason clause");
     Clause& c = clauses_[static_cast<uint32_t>(confl)];
     if (c.learned) bumpClause(c);
+    const Lit* cl = lits(c);
     const size_t start = p.valid() ? 1 : 0;  // skip asserting lit of reason
-    for (size_t i = start; i < c.lits.size(); ++i) {
-      const Lit q = c.lits[i];
+    for (size_t i = start; i < c.size; ++i) {
+      const Lit q = cl[i];
       if (seen_[q.var()] || level_[q.var()] == 0) continue;
       seen_[q.var()] = 1;
       bumpVar(q.var());
@@ -200,7 +235,8 @@ void SatSolver::analyze(int32_t conflictIdx, std::vector<Lit>& learnt,
 
   // Clause minimization (cheap local form): drop literals implied by the
   // rest of the clause through their reason clauses.
-  std::vector<Lit> minimized;
+  std::vector<Lit>& minimized = minimized_;
+  minimized.clear();
   minimized.push_back(learnt[0]);
   for (size_t i = 1; i < learnt.size(); ++i) {
     const Lit q = learnt[i];
@@ -208,7 +244,10 @@ void SatSolver::analyze(int32_t conflictIdx, std::vector<Lit>& learnt,
     bool redundant = false;
     if (r != -1) {
       redundant = true;
-      for (const Lit x : clauses_[static_cast<uint32_t>(r)].lits) {
+      const Clause& rc = clauses_[static_cast<uint32_t>(r)];
+      const Lit* rl = lits(rc);
+      for (size_t k = 0; k < rc.size; ++k) {
+        const Lit x = rl[k];
         if (x == ~q) continue;
         if (level_[x.var()] == 0) continue;
         if (!seen_[x.var()]) {
@@ -220,10 +259,10 @@ void SatSolver::analyze(int32_t conflictIdx, std::vector<Lit>& learnt,
     if (!redundant) minimized.push_back(q);
   }
   for (size_t i = 1; i < learnt.size(); ++i) seen_[learnt[i].var()] = 0;
-  learnt = std::move(minimized);
+  learnt.swap(minimized);
 
   // Backtrack level = max level among learnt[1..].
-  btLevel = 0;
+  unsigned btLevel = 0;
   size_t maxIdx = 1;
   for (size_t i = 1; i < learnt.size(); ++i) {
     if (level_[learnt[i].var()] > btLevel) {
@@ -232,6 +271,7 @@ void SatSolver::analyze(int32_t conflictIdx, std::vector<Lit>& learnt,
     }
   }
   if (learnt.size() > 1) std::swap(learnt[1], learnt[maxIdx]);
+  return btLevel;
 }
 
 void SatSolver::backtrack(unsigned targetLevel) {
@@ -263,31 +303,64 @@ uint32_t SatSolver::pickBranchVar() {
 }
 
 void SatSolver::reduceDB() {
+  // Called at level 0 only: the trail holds root assignments, whose reason
+  // clauses are the only clause indices held outside the watch lists.
   // Keep the most active half of the learned clauses.
   std::vector<uint32_t> learned;
   for (uint32_t i = 0; i < clauses_.size(); ++i) {
-    if (clauses_[i].learned && !clauses_[i].removed && clauses_[i].lits.size() > 2)
-      learned.push_back(i);
+    if (clauses_[i].learned && clauses_[i].size > 2) learned.push_back(i);
   }
   if (learned.size() < learnedLimit_) return;
   std::sort(learned.begin(), learned.end(), [this](uint32_t a, uint32_t b) {
     return clauses_[a].activity < clauses_[b].activity;
   });
-  // A clause that is the reason for a current assignment must stay.
-  std::vector<uint8_t> locked(clauses_.size(), 0);
+  // remap[i]: clause i's index after compaction; kLocked while marking (a
+  // reason for a current assignment must stay), kGone once deleted.
+  constexpr int32_t kKeep = 0, kLocked = 1, kGone = -1;
+  std::vector<int32_t> remap(clauses_.size(), kKeep);
   for (const Lit l : trail_) {
     const int32_t r = reason_[l.var()];
-    if (r != -1) locked[static_cast<uint32_t>(r)] = 1;
+    if (r != -1) remap[static_cast<uint32_t>(r)] = kLocked;
   }
   const size_t toRemove = learned.size() / 2;
   for (size_t i = 0; i < toRemove; ++i) {
-    if (locked[learned[i]]) continue;
-    clauses_[learned[i]].removed = true;
-    clauses_[learned[i]].lits.clear();
-    clauses_[learned[i]].lits.shrink_to_fit();
+    if (remap[learned[i]] == kLocked) continue;
+    remap[learned[i]] = kGone;
     ++stats_.deletedClauses;
   }
   learnedLimit_ = learnedLimit_ + learnedLimit_ / 2;
+
+  // Compact the clause table and the arena in place, preserving order, so
+  // the watch lists and the search see the surviving clauses unchanged.
+  uint32_t live = 0;
+  size_t top = 0;
+  for (uint32_t i = 0; i < clauses_.size(); ++i) {
+    if (remap[i] == kGone) continue;
+    Clause c = clauses_[i];
+    if (top != c.offset) {  // top < offset, so the forward copy is safe
+      std::copy(arena_.begin() + c.offset, arena_.begin() + c.offset + c.size,
+                arena_.begin() + static_cast<ptrdiff_t>(top));
+    }
+    c.offset = static_cast<uint32_t>(top);
+    top += c.size;
+    remap[i] = static_cast<int32_t>(live);
+    clauses_[live++] = c;
+  }
+  clauses_.resize(live);
+  arena_.resize(top);
+  for (size_t l = 0; l < 2 * size_t{numVars()}; ++l) {
+    std::vector<Watcher>& ws = watches_[l];
+    size_t keep = 0;
+    for (const Watcher w : ws) {
+      const int32_t to = remap[w.clauseIdx];
+      if (to != kGone) ws[keep++] = {static_cast<uint32_t>(to), w.blocker};
+    }
+    ws.resize(keep);
+  }
+  for (const Lit l : trail_) {
+    int32_t& r = reason_[l.var()];
+    if (r != -1) r = remap[static_cast<uint32_t>(r)];
+  }
 }
 
 void SatSolver::setTelemetry(telemetry::Telemetry* t) {
@@ -336,26 +409,16 @@ SatResult SatSolver::solveImpl(const std::vector<Lit>& assumptions) {
         backtrack(0);
         return SatResult::Unsat;
       }
-      std::vector<Lit> learnt;
-      unsigned btLevel = 0;
-      analyze(confl, learnt, btLevel);
-      // Never backtrack past the assumption levels.
-      btLevel = std::max<unsigned>(btLevel, 0);
-      backtrack(btLevel);
-      if (learnt.size() == 1) {
-        if (trailLims_.empty()) {
-          enqueue(learnt[0], -1);
-        } else {
-          // Can't add a unit above level 0 safely; restart to level 0 first.
-          backtrack(0);
-          enqueue(learnt[0], -1);
-        }
+      // A learned unit gets backtrack level 0: it is asserted at the root.
+      backtrack(analyze(confl));
+      if (learnt_.size() == 1) {
+        enqueue(learnt_[0], -1);
       } else {
-        const uint32_t idx = static_cast<uint32_t>(clauses_.size());
-        clauses_.push_back(Clause{std::move(learnt), 0.0, true, false});
+        const uint32_t idx = pushClause(learnt_.data(), learnt_.size(),
+                                        /*learned=*/true);
         bumpClause(clauses_[idx]);
         attachClause(idx);
-        enqueue(clauses_[idx].lits[0], static_cast<int32_t>(idx));
+        enqueue(learnt_[0], static_cast<int32_t>(idx));
         ++stats_.learned;
       }
       decayVarActivity();

@@ -1,9 +1,12 @@
 // CDCL SAT solver: two-watched-literal propagation, first-UIP clause
 // learning, EVSIDS branching, Luby restarts, activity-based learned-clause
-// deletion, and incremental solving under assumptions. This is the decision
-// procedure underneath the bit-blaster (DESIGN.md S2).
+// deletion, and incremental solving under assumptions. Clause literals live
+// in one flat arena, compacted when learned clauses are deleted; reset()
+// lets one core serve many independent problems without reallocating.
+// This is the decision procedure underneath the bit-blaster (DESIGN.md S2).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -38,11 +41,27 @@ class SatSolver {
   uint32_t numVars() const { return static_cast<uint32_t>(assigns_.size()); }
 
   /// Add a clause over existing variables. Returns false if the clause set
-  /// is already known unsatisfiable (empty clause derived).
-  bool addClause(std::vector<Lit> lits);
-  bool addUnit(Lit l) { return addClause({l}); }
-  bool addBinary(Lit a, Lit b) { return addClause({a, b}); }
-  bool addTernary(Lit a, Lit b, Lit c) { return addClause({a, b, c}); }
+  /// is already known unsatisfiable (empty clause derived). Allocation-free
+  /// once the arena and the normalisation buffer have grown.
+  bool addClause(const Lit* lits, size_t n);
+  bool addClause(const std::vector<Lit>& lits) {
+    return addClause(lits.data(), lits.size());
+  }
+  bool addUnit(Lit l) { return addClause(&l, 1); }
+  bool addBinary(Lit a, Lit b) {
+    const Lit c[2] = {a, b};
+    return addClause(c, 2);
+  }
+  bool addTernary(Lit a, Lit b, Lit c) {
+    const Lit cl[3] = {a, b, c};
+    return addClause(cl, 3);
+  }
+
+  /// Return to the just-constructed state (no variables, no clauses, zero
+  /// stats, no budget, no deadline) while keeping every buffer's capacity.
+  /// Attached telemetry stays attached. A reset core given the same
+  /// clauses and assumptions runs exactly the search a new core runs.
+  void reset();
 
   /// Solve under the given assumption literals. The solver state persists:
   /// learned clauses carry over to later calls.
@@ -63,7 +82,7 @@ class SatSolver {
     uint64_t deadlineAborts = 0;  // solves abandoned by setDeadline()
 
     /// Aggregate another core's stats into this one (the fresh-solve mode
-    /// of SmtSolver sums one throwaway SatSolver per query).
+    /// of SmtSolver sums its scratch core's stats over every query).
     Stats& operator+=(const Stats& o) {
       conflicts += o.conflicts;
       decisions += o.decisions;
@@ -76,7 +95,12 @@ class SatSolver {
     }
   };
   const Stats& stats() const { return stats_; }
-  size_t numClauses() const { return clauses_.size(); }
+  /// Clauses (problem and learned) stored over this core's lifetime,
+  /// including those reduceDB() has since deleted.
+  size_t numClauses() const { return clauses_.size() + stats_.deletedClauses; }
+  /// Literals held in the clause arena now: live clauses only, since
+  /// reduceDB() compacts the arena when it deletes.
+  size_t arenaSize() const { return arena_.size(); }
 
   /// Hard budget: give up (Unknown) after this many conflicts per solve
   /// call. 0 = unlimited.
@@ -98,11 +122,13 @@ class SatSolver {
  private:
   enum LBool : int8_t { kFalse = 0, kTrue = 1, kUndef = 2 };
 
+  // A clause's literals live in arena_[offset, offset + size). Pointers
+  // into the arena are invalidated by pushClause() and reduceDB().
   struct Clause {
-    std::vector<Lit> lits;
+    uint32_t offset = 0;
+    uint32_t size = 0;
     double activity = 0.0;
     bool learned = false;
-    bool removed = false;
   };
 
   struct Watcher {
@@ -116,11 +142,15 @@ class SatSolver {
     return (v == kTrue) != l.sign() ? kTrue : kFalse;
   }
 
+  Lit* lits(const Clause& c) { return arena_.data() + c.offset; }
+  uint32_t pushClause(const Lit* lits, size_t n, bool learned);
+
   SatResult solveImpl(const std::vector<Lit>& assumptions);
   void enqueue(Lit l, int32_t reasonClause);
   /// Returns conflicting clause index or -1.
   int32_t propagate();
-  void analyze(int32_t conflictIdx, std::vector<Lit>& learnt, unsigned& btLevel);
+  /// Learns into learnt_; returns the backtrack level.
+  unsigned analyze(int32_t conflictIdx);
   void backtrack(unsigned level);
   void attachClause(uint32_t idx);
   void bumpVar(uint32_t v);
@@ -135,7 +165,10 @@ class SatSolver {
   void heapPush(uint32_t v);
 
   std::vector<Clause> clauses_;
-  std::vector<std::vector<Watcher>> watches_;  // indexed by literal
+  std::vector<Lit> arena_;                     // literals of every clause
+  // Indexed by literal. May be longer than 2 * numVars() after reset();
+  // the lists past that point are empty and reused by newVar().
+  std::vector<std::vector<Watcher>> watches_;
   std::vector<int8_t> assigns_;                // LBool per var
   std::vector<int8_t> savedPhase_;             // phase saving
   std::vector<int32_t> reason_;                // clause idx or -1 per var
@@ -150,6 +183,9 @@ class SatSolver {
   std::vector<std::pair<double, uint32_t>> heap_;  // max-heap by activity
 
   std::vector<uint8_t> seen_;  // scratch for analyze()
+  std::vector<Lit> learnt_;    // analyze() output
+  std::vector<Lit> minimized_; // analyze() scratch
+  std::vector<Lit> addTmp_;    // addClause() normalisation buffer
 
   bool unsatisfiable_ = false;  // empty clause added at level 0
   Stats stats_;

@@ -144,6 +144,9 @@ void SmtSolver::setTelemetry(telemetry::Telemetry* t) {
       t ? &t->metrics().counter("solver.prefilter_misses") : nullptr;
   sat_.setTelemetry(t);
   bb_.setTelemetry(t);
+  scratchSat_.setTelemetry(t);
+  scratchBb_.setTelemetry(t);
+  scratchTel_ = t;
 }
 
 void SmtSolver::assertAlways(TermRef t) {
@@ -159,110 +162,72 @@ void SmtSolver::assertAlways(TermRef t) {
   if (!sat_.addUnit(bb_.litFor(t))) permanentlyUnsat_ = true;
 }
 
-CheckResult SmtSolver::checkFresh(const std::vector<TermRef>& assumptions) {
-  SatSolver freshSat;
-  BitBlaster freshBb(tm_, freshSat);
+CheckResult SmtSolver::solveScratch(const std::vector<TermRef>& assumptions,
+                                     bool onBooks, telemetry::Clock* clk,
+                                     uint64_t deadlineUs) {
+  // Off-the-books solves run detached: no telemetry, budget or deadline.
+  telemetry::Telemetry* tel = onBooks ? tel_ : nullptr;
+  if (scratchTel_ != tel) {
+    scratchSat_.setTelemetry(tel);
+    scratchBb_.setTelemetry(tel);
+    scratchTel_ = tel;
+  }
+  scratchSat_.reset();
+  scratchBb_.reset();
+  scratchSat_.setConflictBudget(onBooks ? conflictBudget_ : 0);
+  scratchSat_.setDeadline(deadlineUs != 0 ? clk : nullptr, deadlineUs);
   bool bad = false;
   for (const TermRef t : permanentAsserts_) {
-    if (t.isFalse() || !freshSat.addUnit(freshBb.litFor(t))) bad = true;
+    if (t.isFalse() || !scratchSat_.addUnit(scratchBb_.litFor(t))) bad = true;
   }
-  std::vector<Lit> lits;
-  for (const TermRef t : assumptions) {
-    if (t.isTrue()) continue;
-    if (t.isFalse()) return CheckResult::Unsat;
-    lits.push_back(freshBb.litFor(t));
-  }
-  if (bad) return CheckResult::Unsat;
-  switch (freshSat.solve(lits)) {
-    case SatResult::Sat: return CheckResult::Sat;
-    case SatResult::Unsat: return CheckResult::Unsat;
-    case SatResult::Unknown: return CheckResult::Unknown;
-  }
-  return CheckResult::Unknown;
-}
-
-CheckResult SmtSolver::solveFreshWithModel(
-    const std::vector<TermRef>& assumptions, telemetry::Clock* clk,
-    uint64_t deadlineUs) {
-  SatSolver fs;
-  BitBlaster fb(tm_, fs);
-  fs.setTelemetry(tel_);
-  fb.setTelemetry(tel_);
-  fs.setConflictBudget(conflictBudget_);
-  if (deadlineUs != 0) fs.setDeadline(clk, deadlineUs);
-  bool bad = false;
-  for (const TermRef t : permanentAsserts_) {
-    if (t.isFalse() || !fs.addUnit(fb.litFor(t))) bad = true;
-  }
-  std::vector<Lit> lits;
-  lits.reserve(assumptions.size());
+  scratchLits_.clear();
   for (const TermRef t : assumptions) {
     if (t.isTrue()) continue;
     if (t.isFalse()) {
       bad = true;
       break;
     }
-    lits.push_back(fb.litFor(t));
+    scratchLits_.push_back(scratchBb_.litFor(t));
   }
-  CheckResult r = CheckResult::Unknown;
-  if (bad) {
-    r = CheckResult::Unsat;
-  } else {
-    switch (fs.solve(lits)) {
+  CheckResult r = CheckResult::Unsat;
+  if (!bad) {
+    switch (scratchSat_.solve(scratchLits_)) {
       case SatResult::Sat: r = CheckResult::Sat; break;
       case SatResult::Unsat: r = CheckResult::Unsat; break;
       case SatResult::Unknown: r = CheckResult::Unknown; break;
     }
   }
-  if (r == CheckResult::Sat) {
-    model_.clear();
-    for (const auto& [termId, bits] : fb.varTerms()) {
-      uint64_t v = 0;
-      for (size_t i = 0; i < bits.size(); ++i) {
-        if (fs.modelValue(bits[i])) v |= uint64_t{1} << i;
-      }
-      model_[tm_.varIndex(termId)] = v;
-    }
+  if (onBooks) {
+    freshSat_ += scratchSat_.stats();
+    freshBlast_ += scratchBb_.stats();
+    freshVars_ += scratchSat_.numVars();
+    freshClauses_ += scratchSat_.numClauses();
   }
-  freshSat_ += fs.stats();
-  freshBlast_ += fb.stats();
-  freshVars_ += fs.numVars();
-  freshClauses_ += fs.numClauses();
   return r;
 }
 
-void SmtSolver::restoreModelFresh(const std::vector<TermRef>& assumptions) {
-  // No telemetry, no budget, no deadline, no stats aggregation: see the
-  // header comment. The throwaway core sees the same canonical CNF as
-  // solveFreshWithModel would, so the model it finds is the model the
-  // single-flight miss solve would have published.
-  SatSolver fs;
-  BitBlaster fb(tm_, fs);
-  bool bad = false;
-  for (const TermRef t : permanentAsserts_) {
-    if (t.isFalse() || !fs.addUnit(fb.litFor(t))) bad = true;
-  }
-  std::vector<Lit> lits;
-  lits.reserve(assumptions.size());
-  for (const TermRef t : assumptions) {
-    if (t.isTrue()) continue;
-    if (t.isFalse()) {
-      bad = true;
-      break;
-    }
-    lits.push_back(fb.litFor(t));
-  }
-  adlsym::check(!bad && fs.solve(lits) == SatResult::Sat,
-                "prefilter sat certificate failed model restoration "
-                "(abstract-domain soundness bug)");
+CheckResult SmtSolver::checkFresh(const std::vector<TermRef>& assumptions) {
+  return solveScratch(assumptions, /*onBooks=*/false, nullptr, 0);
+}
+
+void SmtSolver::captureModel(const BitBlaster& bb, const SatSolver& sat) {
   model_.clear();
-  for (const auto& [termId, bits] : fb.varTerms()) {
+  for (const auto& [termId, bits] : bb.varTerms()) {
     uint64_t v = 0;
     for (size_t i = 0; i < bits.size(); ++i) {
-      if (fs.modelValue(bits[i])) v |= uint64_t{1} << i;
+      if (sat.modelValue(bits[i])) v |= uint64_t{1} << i;
     }
     model_[tm_.varIndex(termId)] = v;
   }
+}
+
+void SmtSolver::restoreModel(const std::vector<TermRef>& assumptions) {
+  adlsym::check(solveScratch(assumptions, /*onBooks=*/false, nullptr, 0) ==
+                    CheckResult::Sat,
+                "prefilter sat certificate failed model restoration "
+                "(abstract-domain soundness bug)");
+  captureModel(scratchBb_, scratchSat_);
+  ++stats_.preModelRestores;
 }
 
 CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
@@ -379,16 +344,15 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
       ++stats_.preShortcircuit;
       return finish(CheckResult::Unknown);
     }
-    // Fresh-solve cost is the delta of the fresh aggregates around the
-    // throwaway-core solve; on a cache hit the stored cost is replayed.
-    auto freshCostDelta = [&](auto solve) {
-      const uint64_t terms0 = freshBlast_.termsBlasted;
-      const uint64_t gates0 = freshBlast_.gates;
-      const uint64_t conf0 = freshSat_.conflicts;
-      const CheckResult r = solve();
-      cost.terms = freshBlast_.termsBlasted - terms0;
-      cost.gates = freshBlast_.gates - gates0;
-      cost.conflicts = freshSat_.conflicts - conf0;
+    // Fresh-solve cost is the scratch core's stats for this query (reset
+    // zeroes them); on a cache hit the stored cost is replayed.
+    auto solveFresh = [&] {
+      const CheckResult r =
+          solveScratch(assumptions, /*onBooks=*/true, &clk, deadlineUs);
+      if (r == CheckResult::Sat) captureModel(scratchBb_, scratchSat_);
+      cost.terms = scratchBb_.stats().termsBlasted;
+      cost.gates = scratchBb_.stats().gates;
+      cost.conflicts = scratchSat_.stats().conflicts;
       return r;
     };
     if (sharedCache_ == nullptr) {
@@ -396,22 +360,18 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
         const CheckResult pv = consult();
         if (pv == CheckResult::Unsat) return finish(pv);
         if (pv == CheckResult::Sat) {
-          if (needModel) {
-            restoreModelFresh(assumptions);
-            ++stats_.preModelRestores;
-          }
+          if (needModel) restoreModel(assumptions);
           return finish(pv);
         }
       } else {
         ++stats_.directSolves;
       }
-      return finish(freshCostDelta(
-          [&] { return solveFreshWithModel(assumptions, &clk, deadlineUs); }));
+      return finish(solveFresh());
     }
     // Shared-cache path: canonical key, single-flight solve-or-wait.
     std::vector<TermRef> slotVars;
-    const std::string key =
-        QueryCache::canonicalKey(permanentAsserts_, assumptions, &slotVars);
+    const std::string key = QueryCache::canonicalKey(
+        permanentAsserts_, assumptions, &slotVars, &sortKeys_);
     // Slot-indexed rendering of model_, the publish/backfill format.
     auto slotModel = [&] {
       std::vector<uint64_t> slotValues;
@@ -442,8 +402,7 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
           // Prefiltered Sat entry, first model-needing reader: restore
           // the canonical model off the books and backfill the entry so
           // later readers replay it like any solved entry.
-          restoreModelFresh(assumptions);
-          ++stats_.preModelRestores;
+          restoreModel(assumptions);
           sharedCache_->backfillModel(key, slotModel());
         }
       }
@@ -455,10 +414,7 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
       CheckResult pv;
       try {
         pv = consult();
-        if (pv == CheckResult::Sat && needModel) {
-          restoreModelFresh(assumptions);
-          ++stats_.preModelRestores;
-        }
+        if (pv == CheckResult::Sat && needModel) restoreModel(assumptions);
       } catch (...) {
         sharedCache_->abandon(key);
         throw;
@@ -484,8 +440,7 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
     }
     CheckResult r;
     try {
-      r = freshCostDelta(
-          [&] { return solveFreshWithModel(assumptions, &clk, deadlineUs); });
+      r = solveFresh();
     } catch (...) {
       sharedCache_->abandon(key);
       throw;
@@ -528,8 +483,7 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
         } else if (needModel) {
           // Prefiltered Sat entry without a model: restore one off the
           // books and backfill the entry for later readers.
-          restoreModelFresh(assumptions);
-          ++stats_.preModelRestores;
+          restoreModel(assumptions);
           it->second.model = model_;
           it->second.hasModel = true;
         }
@@ -592,10 +546,7 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
       return finish(pv);
     }
     if (pv == CheckResult::Sat) {
-      if (needModel) {
-        restoreModelFresh(assumptions);
-        ++stats_.preModelRestores;
-      }
+      if (needModel) restoreModel(assumptions);
       if (cacheEnabled_) {
         CacheEntry entry;
         entry.result = pv;
@@ -641,14 +592,7 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
     case SatResult::Sat: {
       // Snapshot variable values immediately: any later incremental blast
       // (even for model reads) unwinds the assignment trail.
-      model_.clear();
-      for (const auto& [termId, bits] : bb_.varTerms()) {
-        uint64_t v = 0;
-        for (size_t i = 0; i < bits.size(); ++i) {
-          if (sat_.modelValue(bits[i])) v |= uint64_t{1} << i;
-        }
-        model_[tm_.varIndex(termId)] = v;
-      }
+      captureModel(bb_, sat_);
       return remember(CheckResult::Sat);
     }
     case SatResult::Unsat: return remember(CheckResult::Unsat);

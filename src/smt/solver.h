@@ -100,7 +100,8 @@ class QueryListener {
 
 class SmtSolver {
  public:
-  explicit SmtSolver(TermManager& tm) : tm_(tm), bb_(tm, sat_) {}
+  explicit SmtSolver(TermManager& tm)
+      : tm_(tm), bb_(tm, sat_), scratchBb_(tm, scratchSat_) {}
 
   TermManager& termManager() { return tm_; }
 
@@ -150,8 +151,9 @@ class SmtSolver {
   /// returns Unknown without touching the SAT core.
   void setWallDeadlineMicros(uint64_t us) { wallDeadlineMicros_ = us; }
 
-  /// Debug cross-check: re-solve every query on a fresh single-shot solver
-  /// and throw (with an SMT-LIB dump) if the incremental result diverges.
+  /// Debug cross-check: re-solve every query on the scratch core (see
+  /// checkFresh) and throw (with an SMT-LIB dump) if the incremental
+  /// result diverges.
   /// Extremely slow; for tests and bug reports only.
   void setParanoid(bool on) { paranoid_ = on; }
 
@@ -222,16 +224,21 @@ class SmtSolver {
     if (l != nullptr) extraListeners_.push_back(l);
   }
 
-  /// Solve assumptions /\ permanent asserts on a throwaway solver (no state
-  /// shared with this instance). Used by paranoid mode and tests.
+  /// Solve assumptions /\ permanent asserts from scratch, sharing no state
+  /// with the incremental core: the scratch core is reset first, so the
+  /// verdict is what a newly built core gives. Used by paranoid mode and
+  /// tests; not counted in any stats.
   CheckResult checkFresh(const std::vector<TermRef>& assumptions);
 
   /// Fresh-solve mode (parallel exploration, docs/parallelism.md): every
-  /// check() runs on a throwaway SAT core instead of the incremental one,
-  /// so the CNF — and hence any Sat model — depends only on term structure,
-  /// never on what this instance solved before. Slower per query, but the
-  /// canonical models are what make -j1 and -jN byte-identical; the shared
-  /// QueryCache (below) recovers the lost incrementality.
+  /// check() blasts the whole query into this solver's scratch core, reset
+  /// per query, instead of the incremental core. reset() keeps only buffer
+  /// capacity, so the CNF, the search and hence any Sat model are exactly
+  /// what a newly built core gives: they depend only on term structure,
+  /// never on what this instance solved before. The canonical models are
+  /// what make -j1 and -jN byte-identical; the shared QueryCache (below)
+  /// recovers the lost incrementality. The scratch core is per solver, so
+  /// per worker, and is never shared between threads.
   void setFreshMode(bool on) { freshMode_ = on; }
   bool freshMode() const { return freshMode_; }
 
@@ -284,19 +291,27 @@ class SmtSolver {
   CheckResult checkImpl(const std::vector<TermRef>& assumptions,
                         bool needModel);
 
-  /// Fresh-mode miss path: solve on a throwaway core, snapshot the model
-  /// into model_ on Sat, aggregate the core's stats into the fresh
-  /// counters.
-  CheckResult solveFreshWithModel(const std::vector<TermRef>& assumptions,
-                                  telemetry::Clock* clk, uint64_t deadlineUs);
+  /// The one fresh-CNF path: reset the scratch core, blast the permanent
+  /// asserts and then the assumptions into it, and solve. On the books
+  /// (fresh-mode solves) it runs with telemetry, the conflict budget and
+  /// `deadlineUs` (0 = none, on `clk`), and adds the core's stats to the
+  /// fresh aggregates. Off the books (checkFresh, restoreModel) it runs
+  /// detached and counts nothing, so whether (and where) such a solve
+  /// happens can never perturb the schedule-independent counters. The
+  /// Sat assignment stays readable in the scratch core until its next use.
+  CheckResult solveScratch(const std::vector<TermRef>& assumptions,
+                           bool onBooks, telemetry::Clock* clk,
+                           uint64_t deadlineUs);
+
+  /// Snapshot every blasted Var's value under `sat`'s current assignment
+  /// into model_.
+  void captureModel(const BitBlaster& bb, const SatSolver& sat);
 
   /// Model restoration for a prefilter-certified Sat query: solve the
-  /// canonical CNF on a throwaway core with no budget, no deadline, no
-  /// telemetry and no stats aggregation — deliberately off the books, so
-  /// whether (and where) a restoration happens can never perturb the
-  /// schedule-independent counters. Fills model_; throws if the core
-  /// disagrees with the certificate (an absdom soundness bug).
-  void restoreModelFresh(const std::vector<TermRef>& assumptions);
+  /// canonical CNF off the books, fill model_ and count a preModelRestore.
+  /// Throws if the core disagrees with the certificate (an absdom
+  /// soundness bug).
+  void restoreModel(const std::vector<TermRef>& assumptions);
 
   TermManager& tm_;
   SatSolver sat_;
@@ -322,9 +337,17 @@ class SmtSolver {
 
   bool freshMode_ = false;
   QueryCache* sharedCache_ = nullptr;
+  // Per-worker memo of canonicalKey's sort keys, keyed by tm_'s TermIds.
+  QueryCache::SortKeyMemo sortKeys_;
   PreSolver* pre_ = nullptr;
-  // Aggregates over the throwaway cores of fresh mode (the members sat_/bb_
-  // sit unused there); telemetrySnapshot() reads these instead.
+  // The scratch core of every from-scratch solve (see solveScratch).
+  SatSolver scratchSat_;
+  BitBlaster scratchBb_;
+  telemetry::Telemetry* scratchTel_ = nullptr;  // attached to the scratch core
+  std::vector<Lit> scratchLits_;                // assumption literals
+  // Aggregates of the scratch core's on-the-books solves in fresh mode
+  // (the members sat_/bb_ sit unused there); telemetrySnapshot() reads
+  // these instead.
   SatSolver::Stats freshSat_;
   BitBlaster::Stats freshBlast_;
   uint64_t freshVars_ = 0;

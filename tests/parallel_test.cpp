@@ -20,6 +20,7 @@
 #include "smt/qcache.h"
 #include "smt/solver.h"
 #include "smt/term.h"
+#include "support/rng.h"
 #include "support/telemetry.h"
 #include "workloads/programs.h"
 
@@ -99,6 +100,61 @@ TEST(QueryCacheKey, ConstantTrueAssumptionsAreSkipped) {
   const auto c = tm.mkEq(tm.mkVar(8, "x"), tm.mkConst(8, 7));
   EXPECT_EQ(smt::QueryCache::canonicalKey({}, {tm.mkTrue(), c}, nullptr),
             smt::QueryCache::canonicalKey({}, {c}, nullptr));
+}
+
+TEST(QueryCacheKey, SortKeyMemoGivesTheSameKeyAndSlots) {
+  // Random DAGs: every new node picks its operands among earlier nodes,
+  // so subterms are shared. Queries draw constraints from a common pool
+  // (repeated and interleaved across calls, split between permanent and
+  // assumption sets) and run through one long-lived memo; each key and
+  // slot table must equal the memo-less computation.
+  smt::TermManager tm;
+  Rng rng(21);
+  std::vector<smt::TermRef> nodes;
+  for (const char* name : {"a", "b", "c", "d", "e"}) {
+    nodes.push_back(tm.mkVar(8, name));
+  }
+  for (int i = 0; i < 60; ++i) {
+    const smt::TermRef x = nodes[rng.below(nodes.size())];
+    const smt::TermRef y = rng.below(4) == 0
+                               ? tm.mkConst(8, rng.below(256))
+                               : nodes[rng.below(nodes.size())];
+    switch (rng.below(4)) {
+      case 0: nodes.push_back(tm.mkAdd(x, y)); break;
+      case 1: nodes.push_back(tm.mkXor(x, y)); break;
+      case 2: nodes.push_back(tm.mkMul(x, y)); break;
+      default: nodes.push_back(tm.mkIte(tm.mkUlt(x, y), y, x)); break;
+    }
+  }
+  std::vector<smt::TermRef> constraints;
+  for (int i = 0; i < 30; ++i) {
+    const smt::TermRef x = nodes[rng.below(nodes.size())];
+    const smt::TermRef y = nodes[rng.below(nodes.size())];
+    constraints.push_back(rng.below(2) == 0 ? tm.mkEq(x, y) : tm.mkUlt(x, y));
+  }
+  smt::QueryCache::SortKeyMemo memo;
+  for (int q = 0; q < 400; ++q) {
+    std::vector<smt::TermRef> permanent, assumptions;
+    for (size_t k = rng.below(3); k > 0; --k) {
+      permanent.push_back(constraints[rng.below(constraints.size())]);
+    }
+    for (size_t k = rng.below(6); k > 0; --k) {
+      assumptions.push_back(constraints[rng.below(constraints.size())]);
+    }
+    std::vector<smt::TermRef> slotsPlain, slotsMemo;
+    const std::string plain = smt::QueryCache::canonicalKey(
+        permanent, assumptions, &slotsPlain);
+    const std::string withMemo = smt::QueryCache::canonicalKey(
+        permanent, assumptions, &slotsMemo, &memo);
+    ASSERT_EQ(plain, withMemo) << "query " << q;
+    ASSERT_EQ(slotsPlain.size(), slotsMemo.size()) << "query " << q;
+    for (size_t i = 0; i < slotsPlain.size(); ++i) {
+      EXPECT_EQ(slotsPlain[i].id(), slotsMemo[i].id()) << "query " << q;
+    }
+  }
+  // One entry per distinct constraint keyed, never more.
+  EXPECT_GT(memo.size(), 0u);
+  EXPECT_LE(memo.size(), constraints.size());
 }
 
 // ---------------------------------------------------------------------

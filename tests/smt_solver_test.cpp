@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "smt/presolver.h"
 #include "smt/solver.h"
 #include "support/bits.h"
+#include "support/rng.h"
 
 namespace adlsym::smt {
 namespace {
@@ -172,6 +174,167 @@ TEST_F(SolverTest, QueryCacheCanBeDisabled) {
   ASSERT_EQ(s.check({q}), CheckResult::Sat);
   ASSERT_EQ(s.check({q}), CheckResult::Sat);
   EXPECT_EQ(s.cacheHits(), 0u);
+}
+
+// ---- the reused scratch core answers like a new solver per query -------
+
+TermRef randomOperand(Rng& rng, TermManager& tm,
+                      const std::vector<TermRef>& vars, int depth) {
+  if (depth == 0 || rng.below(4) == 0) {
+    return rng.below(3) == 0 ? tm.mkConst(8, rng.below(256))
+                             : vars[rng.below(vars.size())];
+  }
+  const TermRef a = randomOperand(rng, tm, vars, depth - 1);
+  const TermRef b = randomOperand(rng, tm, vars, depth - 1);
+  switch (rng.below(9)) {
+    case 0: return tm.mkAdd(a, b);
+    case 1: return tm.mkSub(a, b);
+    case 2: return tm.mkMul(a, b);
+    case 3: return tm.mkXor(a, b);
+    case 4: return tm.mkAnd(a, b);
+    case 5: return tm.mkOr(a, b);
+    case 6: return tm.mkShl(a, b);
+    case 7: return tm.mkUDiv(a, b);
+    default: return tm.mkIte(tm.mkUlt(a, b), a, b);
+  }
+}
+
+TermRef randomPredicate(Rng& rng, TermManager& tm,
+                        const std::vector<TermRef>& vars) {
+  const TermRef a = randomOperand(rng, tm, vars, 2);
+  const TermRef b = randomOperand(rng, tm, vars, 2);
+  switch (rng.below(5)) {
+    case 0: return tm.mkEq(a, b);
+    case 1: return tm.mkNe(a, b);
+    case 2: return tm.mkUlt(a, b);
+    case 3: return tm.mkSle(a, b);
+    default: return tm.mkUge(a, b);
+  }
+}
+
+/// A seeded query stream: assumption sets drawn from a pool of random
+/// predicates, so constraints repeat and interleave across queries.
+std::vector<std::vector<TermRef>> randomQueries(TermManager& tm,
+                                                uint64_t seed, size_t n) {
+  Rng rng(seed);
+  std::vector<TermRef> vars;
+  for (const char* name : {"x", "y", "z", "w"}) {
+    vars.push_back(tm.mkVar(8, name));
+  }
+  std::vector<TermRef> pool;
+  for (int i = 0; i < 40; ++i) pool.push_back(randomPredicate(rng, tm, vars));
+  std::vector<std::vector<TermRef>> queries(n);
+  for (auto& q : queries) {
+    const size_t k = 1 + rng.below(5);
+    for (size_t i = 0; i < k; ++i) q.push_back(pool[rng.below(pool.size())]);
+  }
+  return queries;
+}
+
+struct Answer {
+  CheckResult result;
+  std::unordered_map<uint32_t, uint64_t> model;
+  QueryCost cost;
+};
+
+Answer ask(SmtSolver& s, const std::vector<TermRef>& q) {
+  const QueryCost before = s.stats().canon;
+  Answer a;
+  a.result = s.check(q);
+  if (a.result == CheckResult::Sat) a.model = s.lastModel();
+  a.cost.terms = s.stats().canon.terms - before.terms;
+  a.cost.gates = s.stats().canon.gates - before.gates;
+  a.cost.conflicts = s.stats().canon.conflicts - before.conflicts;
+  return a;
+}
+
+void expectSameAnswer(const Answer& a, const Answer& b, size_t i) {
+  EXPECT_EQ(a.result, b.result) << "query " << i;
+  EXPECT_EQ(a.model, b.model) << "query " << i;
+  EXPECT_EQ(a.cost.terms, b.cost.terms) << "query " << i;
+  EXPECT_EQ(a.cost.gates, b.cost.gates) << "query " << i;
+  EXPECT_EQ(a.cost.conflicts, b.cost.conflicts) << "query " << i;
+}
+
+class ScratchReuseTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ScratchReuseTest, OneSolverPerSequenceMatchesOnePerQuery) {
+  // GetParam(): attach the abstract prefilter, whose Sat verdicts make
+  // check() restore the model on the scratch core off the books.
+  const bool prefilter = GetParam();
+  TermManager tm;
+  const auto queries = randomQueries(tm, prefilter ? 11 : 12, 300);
+  const TermRef perm = tm.mkNe(tm.mkVar(8, "x"), tm.mkConst(8, 0));
+  SmtSolver longLived(tm);
+  PreSolver longPre(tm);
+  longLived.setFreshMode(true);
+  longLived.assertAlways(perm);
+  if (prefilter) longLived.setPreSolver(&longPre);
+  unsigned sat = 0, unsat = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SmtSolver once(tm);
+    PreSolver oncePre(tm);
+    once.setFreshMode(true);
+    once.assertAlways(perm);
+    if (prefilter) once.setPreSolver(&oncePre);
+    const Answer a = ask(longLived, queries[i]);
+    expectSameAnswer(a, ask(once, queries[i]), i);
+    (a.result == CheckResult::Sat ? sat : unsat) += 1;
+  }
+  EXPECT_GT(sat, 0u);
+  EXPECT_GT(unsat, 0u);
+  if (prefilter) {
+    EXPECT_GT(longLived.stats().preModelRestores, 0u);
+  }
+  // The scratch core's aggregates cover every query it solved.
+  EXPECT_GT(longLived.telemetrySnapshot().satCore.propagations, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Prefilter, ScratchReuseTest, ::testing::Bool());
+
+TEST(ScratchReuse, ParanoidChecksOnTheScratchCoreAgreeWithNewSolvers) {
+  // Paranoid mode re-solves every incremental query on the scratch core
+  // and throws on a divergent verdict; checkFresh verdicts must match a
+  // new solver's for the whole sequence.
+  TermManager tm;
+  const auto queries = randomQueries(tm, 13, 120);
+  SmtSolver paranoid(tm);
+  paranoid.setParanoid(true);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SmtSolver once(tm);
+    const CheckResult r = paranoid.check(queries[i]);
+    EXPECT_EQ(r, once.checkFresh(queries[i])) << "query " << i;
+    EXPECT_EQ(paranoid.checkFresh(queries[i]), r) << "query " << i;
+  }
+}
+
+TEST(ScratchReuse, IncrementalReductionsKeepVerdictsOfCheckFresh) {
+  // Factor a stream of primes over one shared 26-bit multiplier circuit
+  // on one incremental solver: learned clauses pile up across queries and
+  // the SAT core's reduceDB() compacts its arena several times. Every
+  // verdict must equal checkFresh's.
+  TermManager tm;
+  const TermRef x = tm.mkVar(26, "x");
+  const TermRef y = tm.mkVar(26, "y");
+  const TermRef product = tm.mkMul(x, y);
+  const std::vector<TermRef> bounds = {
+      tm.mkUlt(tm.mkConst(26, 1), x), tm.mkUlt(tm.mkConst(26, 1), y),
+      tm.mkUlt(x, tm.mkConst(26, 8192)), tm.mkUlt(y, tm.mkConst(26, 8192))};
+  SmtSolver s(tm);
+  uint64_t reductions = 0;
+  // Primes in reach of two factors below 8192: every query is Unsat.
+  const uint64_t primes[] = {48000013, 36000007, 24000001, 56000003,
+                             40000003, 30000001, 44000003, 52000007};
+  for (size_t round = 0; round < std::size(primes) && reductions < 3;
+       ++round) {
+    std::vector<TermRef> q = bounds;
+    q.push_back(tm.mkEq(product, tm.mkConst(26, primes[round])));
+    const uint64_t deleted0 = s.satStats().deletedClauses;
+    ASSERT_EQ(s.check(q), CheckResult::Unsat) << "round " << round;
+    EXPECT_EQ(s.checkFresh(q), CheckResult::Unsat) << "round " << round;
+    if (s.satStats().deletedClauses > deleted0) ++reductions;
+  }
+  EXPECT_GE(reductions, 3u);
 }
 
 }  // namespace
