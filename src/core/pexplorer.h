@@ -144,8 +144,7 @@ class ParallelExplorer {
 
   /// `mainTel` is the coordinator's bundle: its clock stamps wallSeconds
   /// (read exactly twice) and worker metric registries are merged into it
-  /// at the barrier. Workers never emit trace events — with --jobs the
-  /// trace file is empty by design (docs/parallelism.md).
+  /// at the barrier.
   ParallelExplorer(const loader::Image& image, const EngineConfig& engineCfg,
                    ParallelConfig cfg, ExecutorFactory factory,
                    telemetry::Telemetry* mainTel = nullptr);

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 
+#include "core/evaluator.h"
 #include "support/bits.h"
 #include "support/strings.h"
 
@@ -1261,6 +1262,15 @@ void BytecodeExecutor::runSuperblock(const MachineState& in, StepOut& out,
   }
   out.retired = retired;
   out.fusedPcs = std::move(fusedPcs);
+}
+
+std::unique_ptr<Executor> makeAdlExecutor(AdlEngineKind kind,
+                                          const adl::ArchModel& model,
+                                          EngineServices& services) {
+  if (kind == AdlEngineKind::Interp) {
+    return std::make_unique<AdlExecutor>(model, services);
+  }
+  return std::make_unique<BytecodeExecutor>(model, services);
 }
 
 }  // namespace adlsym::core

@@ -31,6 +31,7 @@
 // rtlc_diff_test and insn_fuzz_test. See docs/bytecode.md.
 #pragma once
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -184,5 +185,11 @@ class BytecodeExecutor final : public Executor {
   RtlProfile* rtlProf_ = nullptr;
   std::vector<uint64_t> rtlLocal_;
 };
+
+/// The ADL-driven executor of `kind`: BytecodeExecutor or the reference
+/// AdlExecutor (core/evaluator.h).
+std::unique_ptr<Executor> makeAdlExecutor(AdlEngineKind kind,
+                                          const adl::ArchModel& model,
+                                          EngineServices& services);
 
 }  // namespace adlsym::core

@@ -6,7 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -49,33 +51,22 @@ CommandResult fail(std::string msg) {
   return CommandResult{2, std::move(msg) + "\n"};
 }
 
-/// Per-command telemetry plumbing for the --stats-json / --trace flags:
-/// owns the bundle, the trace file and its JSONL sink. `get()` is null
-/// when neither flag was given (and no manual clock was requested), so
-/// the engine stays on its zero-cost path.
+/// Per-command telemetry plumbing for the --stats-json flag: owns the
+/// bundle. `get()` is null when the flag was not given (and no manual
+/// clock was requested), so the engine stays on its zero-cost path.
 class CommandTelemetry {
  public:
-  /// Throws adlsym::InputError when the trace file cannot be opened.
   /// `manualClockStepUs` > 0 swaps the system clock for a ManualClock so
   /// every recorded duration is deterministic (byte-identical stats
   /// documents across runs).
-  CommandTelemetry(const std::string& statsJsonPath,
-                   const std::string& tracePath,
-                   uint64_t manualClockStepUs = 0)
+  explicit CommandTelemetry(const std::string& statsJsonPath,
+                            uint64_t manualClockStepUs = 0)
       : statsJsonPath_(statsJsonPath) {
     if (manualClockStepUs != 0) {
       clock_ = std::make_unique<telemetry::ManualClock>(manualClockStepUs);
       tel_ = std::make_unique<telemetry::Telemetry>(*clock_);
-    } else if (!statsJsonPath.empty() || !tracePath.empty()) {
+    } else if (!statsJsonPath.empty()) {
       tel_ = std::make_unique<telemetry::Telemetry>();
-    }
-    if (!tracePath.empty()) {
-      traceFile_.open(tracePath, std::ios::binary | std::ios::trunc);
-      if (!traceFile_) {
-        throw InputError("cannot open trace file '" + tracePath + "'");
-      }
-      sink_ = std::make_unique<telemetry::JsonlTraceSink>(traceFile_);
-      tel_->setSink(sink_.get());
     }
   }
 
@@ -108,16 +99,10 @@ class CommandTelemetry {
     out << '\n';
   }
 
-  void finish() {
-    if (sink_) sink_->flush();
-  }
-
  private:
   std::string statsJsonPath_;
   std::unique_ptr<telemetry::ManualClock> clock_;
   std::unique_ptr<telemetry::Telemetry> tel_;
-  std::ofstream traceFile_;
-  std::unique_ptr<telemetry::JsonlTraceSink> sink_;
 };
 
 loader::Image parseImageArg(const std::string& imageText) {
@@ -214,14 +199,23 @@ struct FlightRecorder {
     bus = std::make_unique<obs::EventBus>(*os, tel, bopt);
   }
 
-  void runBegin(const std::string& isaName, const ExploreOptions& opt) {
+  /// Emit run_begin. On --resume (`resumeDoc` set) adopt the checkpoint's
+  /// watermarks instead: the spliced stream prefix already carries the
+  /// run_begin event.
+  void runBegin(const std::string& isaName, const ExploreOptions& opt,
+                const json::Value* resumeDoc = nullptr) {
     if (!bus) return;
     obs::EventBus::RunMeta rm;
     rm.command = opt.profileStdout ? "profile" : "explore";
     rm.isa = isaName;
     rm.strategy = opt.strategy;
     rm.program = opt.programLabel;
-    bus->runBegin(rm);
+    if (resumeDoc != nullptr) {
+      bus->resumeRun(
+          rm, core::ckpt::field(core::ckpt::field(*resumeDoc, "events"), "bus"));
+    } else {
+      bus->runBegin(rm);
+    }
   }
 
   /// Close the stream so the manifest hashes the final bytes.
@@ -258,7 +252,6 @@ void writeRunManifest(const std::string& isaName, const ExploreOptions& opt) {
   man.program = opt.programLabel;
   man.argv = opt.argvEcho;
   man.addArtifact("stats", opt.statsJsonPath);
-  man.addArtifact("trace", opt.tracePath);
   man.addArtifact("forest", opt.pathForestPath);
   man.addArtifact("forest_dot", opt.pathDotPath);
   man.addArtifact("profile", opt.profilePath);
@@ -266,6 +259,22 @@ void writeRunManifest(const std::string& isaName, const ExploreOptions& opt) {
   if (opt.eventsPath != "-") man.addArtifact("events", opt.eventsPath);
   man.addArtifact("checkpoint", opt.checkpointPath);
   man.writeFile(opt.manifestPath);
+}
+
+/// A count-valued option: a non-negative integer (parseInt alone would
+/// read "-5" as 2^64-5) in [min, max], where `min` keeps the flag's rule
+/// for 0. Throws adlsym::InputError (exit 2) on anything else.
+uint64_t parseCount(const std::string& flag, std::string_view text,
+                    uint64_t min = 0, uint64_t max = UINT64_MAX) {
+  const auto v = trim(text).starts_with('-') ? std::nullopt : parseInt(text);
+  if (!v || *v < min || *v > max) {
+    std::string msg = "bad " + flag + " value '" + std::string(text) + "'";
+    if (max != UINT64_MAX) {
+      msg += " (want " + std::to_string(min) + ".." + std::to_string(max) + ")";
+    }
+    throw InputError(msg);
+  }
+  return *v;
 }
 
 /// --resume events splice: check that the first `offset` bytes of the
@@ -402,7 +411,6 @@ std::string usage() {
       "observability (explore and run; docs/observability.md):\n"
       "  --stats-json=<file>   aggregated JSON stats document (summary,\n"
       "                        solver, metrics, opcode/branch-site tables)\n"
-      "  --trace=<file>        JSONL structured trace event stream\n"
       "  --path-forest=<file>  path-forest JSON record (explore only)\n"
       "  --path-dot=<file>     path forest as Graphviz DOT (explore only)\n"
       "  --query-log=<dir>     capture every solver query as SMT-LIB +\n"
@@ -490,7 +498,7 @@ CommandResult cmdModel(const std::string& isaName) {
 CommandResult cmdLint(const std::string& subject, const std::string& adlSource,
                       const LintOptions& opt) {
   DiagEngine diags(subject);
-  CommandTelemetry ct(opt.statsJsonPath, "");
+  CommandTelemetry ct(opt.statsJsonPath);
   auto model = adl::loadArchModel(adlSource, diags);
   analysis::LintReport report;
   if (!model) {
@@ -584,7 +592,7 @@ CommandResult cmdRun(const std::string& isaName, const std::string& imageText,
                      const RunOptions& ropt) {
   auto model = isa::loadIsa(isaName);
   const loader::Image image = parseImageArg(imageText);
-  CommandTelemetry ct(ropt.statsJsonPath, ropt.tracePath);
+  CommandTelemetry ct(ropt.statsJsonPath);
   core::ConcreteRunner runner(*model, image, ct.get());
   const auto r = runner.run(inputs);
   ct.writeStatsJson("run", isaName, [&](json::Writer& w) {
@@ -599,7 +607,6 @@ CommandResult cmdRun(const std::string& isaName, const std::string& imageText,
     w.endArray();
     w.endObject();
   });
-  ct.finish();
   std::ostringstream os;
   os << "status: " << core::pathStatusName(r.status);
   if (r.status == core::PathStatus::Exited) os << " (code " << r.exitCode << ")";
@@ -635,9 +642,6 @@ CommandResult cmdExplore(const std::string& isaName,
     if (opt.profileStdout || !opt.profilePath.empty() ||
         !opt.profileFoldedPath.empty()) {
       return fail("--checkpoint/--resume are not supported with profiling");
-    }
-    if (!opt.tracePath.empty()) {
-      return fail("--checkpoint/--resume are not supported with --trace");
     }
     if (opt.progressSeconds > 0.0) {
       return fail("--checkpoint/--resume are not supported with --progress");
@@ -678,8 +682,9 @@ CommandResult cmdExplore(const std::string& isaName,
   }
   const bool profiling = opt.profileStdout || !opt.profilePath.empty() ||
                          !opt.profileFoldedPath.empty();
-
-  // ---- parallel engine (--jobs, docs/parallelism.md) ------------------
+  const core::AdlEngineKind engineKind = opt.engine == "interp"
+                                             ? core::AdlEngineKind::Interp
+                                             : core::AdlEngineKind::Bytecode;
   if (opt.jobs > 0) {
     if (opt.mergeStates) {
       return fail("--merge is not supported with --jobs");
@@ -687,88 +692,217 @@ CommandResult cmdExplore(const std::string& isaName,
     if (!opt.queryLogDir.empty()) {
       return fail("--query-log is not supported with --jobs");
     }
+  }
 
-    // ---- --resume: load + verify the checkpoint ----------------------
-    const std::string imageSha = hash::sha256Hex(imageText);
-    const bool resuming = !opt.resumePath.empty();
-    json::Value resumeDoc;
+  // ---- --resume: load + verify the checkpoint ------------------------
+  // Checkpoints are written by the parallel engine only, which records
+  // the image hash in them.
+  const std::string imageSha = opt.jobs > 0 ? hash::sha256Hex(imageText) : "";
+  const bool resuming = !opt.resumePath.empty();
+  json::Value resumeDoc;
+  if (resuming) {
+    resumeDoc = core::ckpt::loadCheckpointFile(opt.resumePath);
+    const auto expect = [&](const char* name, const std::string& want) {
+      const std::string got = core::ckpt::fieldStr(resumeDoc, name);
+      if (got != want) {
+        throw InputError("checkpoint " + opt.resumePath + ": " + name +
+                         " mismatch (checkpoint has '" + got +
+                         "', this run is '" + want + "')");
+      }
+    };
+    expect("isa", isaName);
+    expect("strategy", opt.strategy);
+    expect("image_sha256", imageSha);
+    if (core::ckpt::fieldU64(resumeDoc, "rng_seed") != sopt.explorer.rngSeed) {
+      throw InputError("checkpoint " + opt.resumePath + ": rng_seed mismatch");
+    }
+    // The events stream is part of the checkpointed state: a resume
+    // must continue the same stream (or, like the original run, have
+    // none at all).
+    const bool ckptHasEvents = resumeDoc.find("events") != nullptr;
+    if (ckptHasEvents && opt.eventsPath.empty()) {
+      throw InputError("checkpoint " + opt.resumePath +
+                       " was written with --events; pass the same "
+                       "events file to resume");
+    }
+    if (!ckptHasEvents && !opt.eventsPath.empty()) {
+      throw InputError("checkpoint " + opt.resumePath +
+                       " was written without --events; drop the flag "
+                       "to resume");
+    }
+    if (ckptHasEvents) {
+      spliceEventsFile(opt.eventsPath, core::ckpt::field(resumeDoc, "events"),
+                       opt.resumePath);
+    }
+  }
+
+  // ---- observers both engines feed (docs/observability.md) -----------
+  CommandTelemetry ct(opt.statsJsonPath, opt.manualClockStepUs);
+  if (resuming && ct.manualClock() != nullptr) {
+    // Continue the manual clock exactly where the checkpointed run's
+    // next read would have been, before any component reads it.
+    ct.manualClock()->advance(core::ckpt::fieldU64(resumeDoc, "clock_us"));
+  }
+  FlightRecorder fr;
+  fr.open(opt, *model, image, ct.get(), resuming);
+  std::unique_ptr<obs::ProgressMeter> progress;
+  if (opt.progressSeconds > 0.0) {
+    // The parallel engine's heartbeats run on the system clock: they are
+    // a live wall-time display from concurrent workers, not a
+    // deterministic artifact.
+    progress = std::make_unique<obs::ProgressMeter>(
+        opt.jobs > 0 ? nullptr : ct.get(), std::cerr, opt.progressSeconds,
+        fr.bus.get(), fr.codePcs);
+  }
+  std::unique_ptr<obs::SiteStatsCollector> sites;
+  if (ct.wantsStatsJson()) {
+    sites = std::make_unique<obs::SiteStatsCollector>(*model, image);
     if (resuming) {
-      resumeDoc = core::ckpt::loadCheckpointFile(opt.resumePath);
-      const auto expect = [&](const char* name, const std::string& want) {
-        const std::string got = core::ckpt::fieldStr(resumeDoc, name);
-        if (got != want) {
-          throw InputError("checkpoint " + opt.resumePath + ": " + name +
-                           " mismatch (checkpoint has '" + got +
-                           "', this run is '" + want + "')");
-        }
-      };
-      expect("isa", isaName);
-      expect("strategy", opt.strategy);
-      expect("image_sha256", imageSha);
-      if (core::ckpt::fieldU64(resumeDoc, "rng_seed") !=
-          sopt.explorer.rngSeed) {
-        throw InputError("checkpoint " + opt.resumePath +
-                         ": rng_seed mismatch");
+      if (const json::Value* sv = resumeDoc.find("sites")) {
+        sites->restoreFromCkpt(*sv);
       }
-      // The events stream is part of the checkpointed state: a resume
-      // must continue the same stream (or, like the original run, have
-      // none at all).
-      const bool ckptHasEvents = resumeDoc.find("events") != nullptr;
-      if (ckptHasEvents && opt.eventsPath.empty()) {
-        throw InputError("checkpoint " + opt.resumePath +
-                         " was written with --events; pass the same "
-                         "events file to resume");
+    }
+  }
+  std::unique_ptr<core::RtlProfile> rtlProf;
+  std::unique_ptr<obs::ProfileCollector> profCollector;
+  if (profiling) {
+    rtlProf = std::make_unique<core::RtlProfile>(*model);
+    profCollector = std::make_unique<obs::ProfileCollector>(*model, image);
+  }
+
+  // What an engine hands to the epilogue; borrowed from the engine
+  // branch, which stays live while the epilogue runs.
+  struct EngineResult {
+    const core::ExploreSummary& summary;
+    smt::SolverTelemetry solver;
+    const obs::PathForestRecorder* forest;  // null without forest flags
+    const std::map<unsigned, smt::SmtSolver::ShapeRow>* shapes;
+    const smt::QueryCache* qcache;  // the parallel engine's shared cache
+  };
+  // The one epilogue: forest and DOT, profile, stats document, manifest,
+  // stdout and the exit code.
+  const auto finish = [&](const EngineResult& r) -> CommandResult {
+    if (fr.bus) {
+      // The evaluators' statement tick totals are flushed by now.
+      fr.bus->runEnd(r.summary, r.solver, rtlProf ? rtlProf->total() : 0);
+    }
+    if (!opt.pathForestPath.empty()) {
+      fault::hit("obs.write");
+      std::ofstream out(opt.pathForestPath, std::ios::binary | std::ios::trunc);
+      if (!out) {
+        return fail("cannot open path-forest file '" + opt.pathForestPath + "'");
       }
-      if (!ckptHasEvents && !opt.eventsPath.empty()) {
-        throw InputError("checkpoint " + opt.resumePath +
-                         " was written without --events; drop the flag "
-                         "to resume");
+      r.forest->writeJson(out);
+    }
+    if (!opt.pathDotPath.empty()) {
+      fault::hit("obs.write");
+      std::ofstream out(opt.pathDotPath, std::ios::binary | std::ios::trunc);
+      if (!out) {
+        return fail("cannot open path-dot file '" + opt.pathDotPath + "'");
       }
-      if (ckptHasEvents) {
-        spliceEventsFile(opt.eventsPath, core::ckpt::field(resumeDoc, "events"),
-                         opt.resumePath);
-      }
+      r.forest->writeDot(out);
     }
 
-    CommandTelemetry ct(opt.statsJsonPath, opt.tracePath,
-                        opt.manualClockStepUs);
-    if (resuming && ct.manualClock() != nullptr) {
-      // Continue the manual clock exactly where the checkpointed run's
-      // next read would have been, before any component reads it.
-      ct.manualClock()->advance(core::ckpt::fieldU64(resumeDoc, "clock_us"));
+    obs::ProfileReport rep;
+    if (profiling) {
+      rep.isa = isaName;
+      rep.program = opt.programLabel;
+      rep.prof = profCollector.get();
+      rep.rtl = rtlProf.get();
+      rep.engineSteps = r.summary.totalSteps;
+      // Independent of the observer deltas: the per-statement tables
+      // flushed by the evaluators. Reconciliation cross-checks the two
+      // accumulation paths.
+      rep.engineRtlTicks = rtlProf->total();
+      rep.solver = r.solver;
+      if (r.qcache != nullptr) {
+        rep.hasQcache = true;
+        rep.qcache = r.qcache->stats();
+      }
+      rep.shapes = r.shapes;
     }
+
+    ct.writeStatsJson("explore", isaName, [&](json::Writer& w) {
+      w.kv("strategy", std::string_view(opt.strategy));
+      // v8 addition: which ADL engine ran. Stripped by stats_strip — the
+      // byte-identity contract holds *across* engines (docs/bytecode.md).
+      w.key("engine");
+      w.beginObject();
+      w.kv("name", std::string_view(opt.engine));
+      w.endObject();
+      w.key("summary");
+      core::writeSummaryJson(w, r.summary);
+      w.key("solver");
+      r.solver.writeJson(w);
+      // v6 addition: the abstract-prefilter block (docs/absdomain.md).
+      w.key("prefilter");
+      r.solver.writePrefilterJson(w);
+      // The parallel engine's shared query cache. Note no "jobs" field
+      // anywhere in the document — byte-identity across --jobs values is
+      // the contract, so the document cannot mention the jobs count.
+      if (opt.jobs > 0) {
+        w.key("qcache");
+        if (r.qcache != nullptr) {
+          r.qcache->stats().writeJson(w);
+        } else {
+          w.beginObject();
+          w.kv("enabled", false);
+          w.endObject();
+        }
+      }
+      if (sites) sites->writeJson(w);
+      // v5 addition: the profile summary block (profiling runs only).
+      if (profiling) rep.writeSummary(w);
+      // v7 addition: the flight-recorder accounting block.
+      fr.writeStatsJson(w);
+    });
+
+    if (profiling) {
+      const std::string err = writeProfileArtifacts(rep, opt);
+      if (!err.empty()) return fail(err);
+    }
+
+    // Every artifact stream is final now; the manifest hashes them.
+    fr.close();
+    writeRunManifest(isaName, opt);
+
+    std::ostringstream os;
+    os << lintText;
+    os << core::formatSummary(r.summary);
+    if (opt.coverageReport) {
+      for (const loader::Section& sec : image.sections()) {
+        if (sec.writable) continue;
+        os << "\ncoverage of section " << sec.name << ":\n"
+           << core::formatCoverage(*model, image, sec.name, r.summary);
+      }
+    }
+    os << r.solver.format();
+    if (opt.profileStdout) os << rep.formatText();
+    // Exit-code table (docs/robustness.md): defects found beat everything
+    // (the findings are the tool's point, even from a partial run); then
+    // budget-truncated partial results report 3 so CI can tell "clean and
+    // complete" from "clean so far, but the engine gave up".
+    int code = 0;
+    if (r.summary.numDefects() > 0) {
+      code = 1;
+    } else if (r.summary.budgetExhausted() ||
+               (!r.summary.stopReason.empty() &&
+                r.summary.stopReason != "first-defect")) {
+      code = 3;
+    }
+    return {code, os.str()};
+  };
+
+  // ---- parallel engine (--jobs, docs/parallelism.md) ------------------
+  if (opt.jobs > 0) {
     // Live observers only; the path forest is rebuilt from the merged
     // tree after the run, so only thread-safe collectors ride along, all
     // behind one locked mux.
     core::LockedObserverMux mux;
-    FlightRecorder fr;
-    fr.open(opt, *model, image, ct.get(), resuming);
-    if (fr.bus) mux.add(fr.bus.get());
-    std::unique_ptr<obs::ProgressMeter> progress;
-    if (opt.progressSeconds > 0.0) {
-      // Always on the system clock: heartbeats are a live wall-time
-      // display from concurrent workers, not a deterministic artifact.
-      progress = std::make_unique<obs::ProgressMeter>(
-          nullptr, std::cerr, opt.progressSeconds, fr.bus.get(), fr.codePcs);
-      mux.add(progress.get());
-    }
-    std::unique_ptr<obs::SiteStatsCollector> sites;
-    if (ct.wantsStatsJson()) {
-      sites = std::make_unique<obs::SiteStatsCollector>(*model, image);
-      mux.add(sites.get());
-      if (resuming) {
-        if (const json::Value* sv = resumeDoc.find("sites")) {
-          sites->restoreFromCkpt(*sv);
-        }
-      }
-    }
-    std::unique_ptr<core::RtlProfile> rtlProf;
-    std::unique_ptr<obs::ProfileCollector> profCollector;
-    if (profiling) {
-      rtlProf = std::make_unique<core::RtlProfile>(*model);
-      profCollector = std::make_unique<obs::ProfileCollector>(*model, image);
-      mux.add(profCollector.get());
-    }
+    mux.add(fr.bus.get());
+    mux.add(progress.get());
+    mux.add(sites.get());
+    mux.add(profCollector.get());
 
     std::unique_ptr<smt::QueryCache> qcache;
     if (opt.qcacheOn) {
@@ -841,122 +975,24 @@ CommandResult cmdExplore(const std::string& isaName,
       };
     }
 
-    const adl::ArchModel& m = *model;
     core::RtlProfile* rp = rtlProf.get();
-    const bool interp = opt.engine == "interp";
     core::ParallelExplorer pex(
         image, sopt.engine, pcfg,
-        [&m, rp, interp](
-            core::EngineServices& svc) -> std::unique_ptr<core::Executor> {
-          std::unique_ptr<core::Executor> ex;
-          if (interp) {
-            ex = std::make_unique<core::AdlExecutor>(m, svc);
-          } else {
-            ex = std::make_unique<core::BytecodeExecutor>(m, svc);
-          }
+        [&m = *model, rp, engineKind](core::EngineServices& svc) {
+          std::unique_ptr<core::Executor> ex =
+              core::makeAdlExecutor(engineKind, m, svc);
           // Workers are destroyed inside run(), so the destructor flush
           // lands every worker's statement counts before we read them.
           if (rp != nullptr) ex->setRtlProfile(rp);
           return ex;
         },
         ct.get());
-    if (resuming && fr.bus) {
-      // The spliced stream prefix already carries the run_begin event;
-      // adopt the checkpoint's watermarks instead of emitting another.
-      obs::EventBus::RunMeta rm;
-      rm.command = opt.profileStdout ? "profile" : "explore";
-      rm.isa = isaName;
-      rm.strategy = opt.strategy;
-      rm.program = opt.programLabel;
-      fr.bus->resumeRun(
-          rm, core::ckpt::field(core::ckpt::field(resumeDoc, "events"), "bus"));
-    } else {
-      fr.runBegin(isaName, opt);
-    }
-    core::ParallelResult pres = pex.run();
-    const core::ExploreSummary& summary = pres.summary;
-    if (fr.bus) {
-      // Workers were destroyed inside run(), so the evaluator tick total
-      // is already flushed.
-      fr.bus->runEnd(summary, pex.solverTelemetry(),
-                     rtlProf ? rtlProf->total() : 0);
-    }
-
+    fr.runBegin(isaName, opt, resuming ? &resumeDoc : nullptr);
+    const core::ParallelResult pres = pex.run();
+    std::optional<obs::PathForestRecorder> forest;
     if (!opt.pathForestPath.empty() || !opt.pathDotPath.empty()) {
-      const obs::PathForestRecorder forest = obs::forestFromTree(pres.tree);
-      if (!opt.pathForestPath.empty()) {
-        fault::hit("obs.write");
-        std::ofstream out(opt.pathForestPath,
-                          std::ios::binary | std::ios::trunc);
-        if (!out) {
-          return fail("cannot open path-forest file '" + opt.pathForestPath +
-                      "'");
-        }
-        forest.writeJson(out);
-      }
-      if (!opt.pathDotPath.empty()) {
-        fault::hit("obs.write");
-        std::ofstream out(opt.pathDotPath, std::ios::binary | std::ios::trunc);
-        if (!out) {
-          return fail("cannot open path-dot file '" + opt.pathDotPath + "'");
-        }
-        forest.writeDot(out);
-      }
+      forest.emplace(obs::forestFromTree(pres.tree));
     }
-
-    obs::ProfileReport rep;
-    if (profiling) {
-      rep.isa = isaName;
-      rep.program = opt.programLabel;
-      rep.prof = profCollector.get();
-      rep.rtl = rtlProf.get();
-      rep.engineSteps = summary.totalSteps;
-      // Independent of the observer deltas: the per-statement tables
-      // flushed by the worker evaluators. Reconciliation cross-checks
-      // the two accumulation paths.
-      rep.engineRtlTicks = rtlProf->total();
-      rep.solver = pex.solverTelemetry();
-      if (qcache) {
-        rep.hasQcache = true;
-        rep.qcache = qcache->stats();
-      }
-      rep.shapes = &pex.queryShapes();
-    }
-
-    ct.writeStatsJson("explore", isaName, [&](json::Writer& w) {
-      w.kv("strategy", std::string_view(opt.strategy));
-      // v8 addition: which ADL engine ran. Stripped by stats_strip — the
-      // byte-identity contract holds *across* engines (docs/bytecode.md).
-      w.key("engine");
-      w.beginObject();
-      w.kv("name", std::string_view(opt.engine));
-      w.endObject();
-      w.key("summary");
-      core::writeSummaryJson(w, summary);
-      w.key("solver");
-      pex.solverTelemetry().writeJson(w);
-      // v6 addition: the abstract-prefilter block (docs/absdomain.md).
-      w.key("prefilter");
-      pex.solverTelemetry().writePrefilterJson(w);
-      // The shared query cache. Note no "jobs" field anywhere in the
-      // document — byte-identity across --jobs values is the contract,
-      // so the document cannot mention the jobs count.
-      w.key("qcache");
-      if (qcache) {
-        qcache->stats().writeJson(w);
-      } else {
-        w.beginObject();
-        w.kv("enabled", false);
-        w.endObject();
-      }
-      if (sites) sites->writeJson(w);
-      // v5 addition: the profile summary block (profiling runs only).
-      if (profiling) rep.writeSummary(w);
-      // v7 addition: the flight-recorder accounting block.
-      fr.writeStatsJson(w);
-    });
-    ct.finish();
-
     if (profiling) {
       // Pool diagnostics are schedule-dependent by nature (which worker
       // stole what), so they go to stderr only — never into the
@@ -967,38 +1003,13 @@ CommandResult cmdExplore(const std::string& isaName,
                 << " steps_min=" << ps.minWorkerSteps
                 << " steps_max=" << ps.maxWorkerSteps
                 << " steps_total=" << ps.totalSteps << "\n";
-      const std::string err = writeProfileArtifacts(rep, opt);
-      if (!err.empty()) return fail(err);
     }
-
-    // Every artifact stream is final now; the manifest hashes them.
-    fr.close();
-    writeRunManifest(isaName, opt);
-
-    std::ostringstream os;
-    os << lintText;
-    os << core::formatSummary(summary);
-    if (opt.coverageReport) {
-      for (const loader::Section& sec : image.sections()) {
-        if (sec.writable) continue;
-        os << "\ncoverage of section " << sec.name << ":\n"
-           << core::formatCoverage(*model, image, sec.name, summary);
-      }
-    }
-    os << pex.solverTelemetry().format();
-    if (opt.profileStdout) os << rep.formatText();
-    int code = 0;
-    if (summary.numDefects() > 0) {
-      code = 1;
-    } else if (summary.budgetExhausted() ||
-               (!summary.stopReason.empty() &&
-                summary.stopReason != "first-defect")) {
-      code = 3;
-    }
-    return {code, os.str()};
+    return finish({pres.summary, pex.solverTelemetry(),
+                   forest ? &*forest : nullptr, &pex.queryShapes(),
+                   qcache.get()});
   }
 
-  CommandTelemetry ct(opt.statsJsonPath, opt.tracePath, opt.manualClockStepUs);
+  // ---- sequential engine ----------------------------------------------
   smt::TermManager tm;
   smt::SmtSolver solver(tm);
   solver.setConflictBudget(sopt.solverConflictBudget);
@@ -1008,147 +1019,40 @@ CommandResult cmdExplore(const std::string& isaName,
     presolver = std::make_unique<smt::PreSolver>(tm);
     solver.setPreSolver(presolver.get());
   }
+  if (profiling) solver.setShapeProfiling(true);
 
-  // Observatory wiring (docs/observability.md): each flag adds one
-  // observer; the mux keeps the explorer's single-pointer hook.
-  core::ObserverMux mux;
-  FlightRecorder fr;
-  fr.open(opt, *model, image, ct.get());
-  if (fr.bus) {
-    mux.add(fr.bus.get());
-    solver.addQueryListener(fr.bus.get());
-  }
+  // Each flag adds one observer; the mux keeps the explorer's
+  // single-pointer hook.
   std::unique_ptr<obs::PathForestRecorder> forest;
   if (!opt.pathForestPath.empty() || !opt.pathDotPath.empty()) {
     forest = std::make_unique<obs::PathForestRecorder>();
-    mux.add(forest.get());
   }
   std::unique_ptr<obs::QueryLogger> qlog;
   if (!opt.queryLogDir.empty()) {
     qlog = std::make_unique<obs::QueryLogger>(opt.queryLogDir);
-    mux.add(qlog.get());
-    solver.setQueryListener(qlog.get());
   }
-  std::unique_ptr<obs::ProgressMeter> progress;
-  if (opt.progressSeconds > 0.0) {
-    progress = std::make_unique<obs::ProgressMeter>(
-        ct.get(), std::cerr, opt.progressSeconds, fr.bus.get(), fr.codePcs);
-    mux.add(progress.get());
-  }
-  std::unique_ptr<obs::SiteStatsCollector> sites;
-  if (ct.wantsStatsJson()) {
-    sites = std::make_unique<obs::SiteStatsCollector>(*model, image);
-    mux.add(sites.get());
-  }
-  std::unique_ptr<core::RtlProfile> rtlProf;
-  std::unique_ptr<obs::ProfileCollector> profCollector;
-  if (profiling) {
-    rtlProf = std::make_unique<core::RtlProfile>(*model);
-    profCollector = std::make_unique<obs::ProfileCollector>(*model, image);
-    mux.add(profCollector.get());
-    solver.setShapeProfiling(true);
-  }
+  core::ObserverMux mux;
+  mux.add(fr.bus.get());
+  mux.add(forest.get());
+  mux.add(qlog.get());
+  mux.add(progress.get());
+  mux.add(sites.get());
+  mux.add(profCollector.get());
   if (!mux.empty()) sopt.explorer.observer = &mux;
+  // The query log sees each query before the event stream does.
+  solver.addQueryListener(qlog.get());
+  solver.addQueryListener(fr.bus.get());
 
   core::EngineServices services(tm, solver, image, sopt.engine, ct.get());
-  std::unique_ptr<core::Executor> executor;
-  if (opt.engine == "interp") {
-    executor = std::make_unique<core::AdlExecutor>(*model, services);
-  } else {
-    executor = std::make_unique<core::BytecodeExecutor>(*model, services);
-  }
+  const std::unique_ptr<core::Executor> executor =
+      core::makeAdlExecutor(engineKind, *model, services);
   if (rtlProf) executor->setRtlProfile(rtlProf.get());
   core::Explorer explorer(*executor, services, sopt.explorer);
   fr.runBegin(isaName, opt);
-  const auto summary = explorer.run();
+  const core::ExploreSummary summary = explorer.run();
   if (rtlProf) executor->flushRtlProfile();
-  if (fr.bus) {
-    fr.bus->runEnd(summary, solver.telemetrySnapshot(),
-                   rtlProf ? rtlProf->total() : 0);
-  }
-
-  if (!opt.pathForestPath.empty()) {
-    fault::hit("obs.write");
-    std::ofstream out(opt.pathForestPath, std::ios::binary | std::ios::trunc);
-    if (!out) return fail("cannot open path-forest file '" + opt.pathForestPath + "'");
-    forest->writeJson(out);
-  }
-  if (!opt.pathDotPath.empty()) {
-    fault::hit("obs.write");
-    std::ofstream out(opt.pathDotPath, std::ios::binary | std::ios::trunc);
-    if (!out) return fail("cannot open path-dot file '" + opt.pathDotPath + "'");
-    forest->writeDot(out);
-  }
-
-  obs::ProfileReport rep;
-  if (profiling) {
-    rep.isa = isaName;
-    rep.program = opt.programLabel;
-    rep.prof = profCollector.get();
-    rep.rtl = rtlProf.get();
-    rep.engineSteps = summary.totalSteps;
-    rep.engineRtlTicks = rtlProf->total();
-    rep.solver = solver.telemetrySnapshot();
-    rep.shapes = &solver.queryShapes();
-  }
-
-  ct.writeStatsJson("explore", isaName, [&](json::Writer& w) {
-    w.kv("strategy", std::string_view(opt.strategy));
-    // v8 addition: which ADL engine ran. Stripped by stats_strip — the
-    // byte-identity contract holds *across* engines (docs/bytecode.md).
-    w.key("engine");
-    w.beginObject();
-    w.kv("name", std::string_view(opt.engine));
-    w.endObject();
-    w.key("summary");
-    core::writeSummaryJson(w, summary);
-    w.key("solver");
-    solver.telemetrySnapshot().writeJson(w);
-    // v6 addition: the abstract-prefilter block (docs/absdomain.md).
-    w.key("prefilter");
-    solver.telemetrySnapshot().writePrefilterJson(w);
-    if (sites) sites->writeJson(w);
-    // v5 addition: the profile summary block (profiling runs only).
-    if (profiling) rep.writeSummary(w);
-    // v7 addition: the flight-recorder accounting block.
-    fr.writeStatsJson(w);
-  });
-  ct.finish();
-
-  if (profiling) {
-    const std::string err = writeProfileArtifacts(rep, opt);
-    if (!err.empty()) return fail(err);
-  }
-
-  // Every artifact stream is final now; the manifest hashes them.
-  fr.close();
-  writeRunManifest(isaName, opt);
-
-  std::ostringstream os;
-  os << lintText;
-  os << core::formatSummary(summary);
-  if (opt.coverageReport) {
-    for (const loader::Section& sec : image.sections()) {
-      if (sec.writable) continue;
-      os << "\ncoverage of section " << sec.name << ":\n"
-         << core::formatCoverage(*model, image, sec.name, summary);
-    }
-  }
-  os << solver.telemetrySnapshot().format();
-  if (opt.profileStdout) os << rep.formatText();
-  // Exit-code table (docs/robustness.md): defects found beat everything
-  // (the findings are the tool's point, even from a partial run); then
-  // budget-truncated partial results report 3 so CI can tell "clean and
-  // complete" from "clean so far, but the engine gave up".
-  int code = 0;
-  if (summary.numDefects() > 0) {
-    code = 1;
-  } else if (summary.budgetExhausted() ||
-             (!summary.stopReason.empty() &&
-              summary.stopReason != "first-defect")) {
-    code = 3;
-  }
-  return {code, os.str()};
+  return finish({summary, solver.telemetrySnapshot(), forest.get(),
+                 &solver.queryShapes(), nullptr});
 }
 
 CommandResult cmdReplay(const std::string& dir) {
@@ -1294,8 +1198,6 @@ CommandResult dispatch(const std::vector<std::string>& args) {
       for (size_t i = 3; i < args.size(); ++i) {
         if (startsWith(args[i], "--stats-json=")) {
           ropt.statsJsonPath = args[i].substr(13);
-        } else if (startsWith(args[i], "--trace=")) {
-          ropt.tracePath = args[i].substr(8);
         } else {
           const auto v = parseInt(args[i]);
           if (!v) return fail("bad input value '" + args[i] + "'");
@@ -1317,9 +1219,9 @@ CommandResult dispatch(const std::vector<std::string>& args) {
         if (args[i] == "--strategy" && i + 1 < args.size()) {
           opt.strategy = args[++i];
         } else if (args[i] == "--max-paths" && i + 1 < args.size()) {
-          opt.maxPaths = parseInt(args[++i]).value_or(opt.maxPaths);
+          opt.maxPaths = parseCount("--max-paths", args[++i]);
         } else if (args[i] == "--max-steps" && i + 1 < args.size()) {
-          opt.maxTotalSteps = parseInt(args[++i]).value_or(opt.maxTotalSteps);
+          opt.maxTotalSteps = parseCount("--max-steps", args[++i]);
         } else if (args[i] == "--first-defect") {
           opt.stopAtFirstDefect = true;
         } else if (args[i] == "--merge") {
@@ -1330,8 +1232,6 @@ CommandResult dispatch(const std::vector<std::string>& args) {
           opt.lint = true;
         } else if (startsWith(args[i], "--stats-json=")) {
           opt.statsJsonPath = args[i].substr(13);
-        } else if (startsWith(args[i], "--trace=")) {
-          opt.tracePath = args[i].substr(8);
         } else if (startsWith(args[i], "--path-forest=")) {
           opt.pathForestPath = args[i].substr(14);
         } else if (startsWith(args[i], "--path-dot=")) {
@@ -1348,30 +1248,21 @@ CommandResult dispatch(const std::vector<std::string>& args) {
             return fail("bad --events (want a file path or '-')");
           }
         } else if (startsWith(args[i], "--events-snapshot=")) {
-          const auto v = parseInt(args[i].substr(18));
-          if (!v) return fail("bad --events-snapshot '" + args[i] + "'");
-          opt.eventsSnapshotEvery = *v;
+          opt.eventsSnapshotEvery =
+              parseCount("--events-snapshot", args[i].substr(18));
         } else if (startsWith(args[i], "--manifest=")) {
           opt.manifestPath = args[i].substr(11);
           if (opt.manifestPath.empty()) {
             return fail("bad --manifest (want a file path)");
           }
         } else if (args[i] == "--max-frontier" && i + 1 < args.size()) {
-          const auto v = parseInt(args[++i]);
-          if (!v || *v == 0) return fail("bad --max-frontier '" + args[i] + "'");
-          opt.maxFrontier = *v;
+          opt.maxFrontier = parseCount("--max-frontier", args[++i], 1);
         } else if (args[i] == "--mem-budget-mb" && i + 1 < args.size()) {
-          const auto v = parseInt(args[++i]);
-          if (!v || *v == 0) return fail("bad --mem-budget-mb '" + args[i] + "'");
-          opt.memBudgetMb = *v;
+          opt.memBudgetMb = parseCount("--mem-budget-mb", args[++i], 1);
         } else if (args[i] == "--solver-timeout-ms" && i + 1 < args.size()) {
-          const auto v = parseInt(args[++i]);
-          if (!v) return fail("bad --solver-timeout-ms '" + args[i] + "'");
-          opt.solverTimeoutMs = *v;
+          opt.solverTimeoutMs = parseCount("--solver-timeout-ms", args[++i]);
         } else if (args[i] == "--max-wall-ms" && i + 1 < args.size()) {
-          const auto v = parseInt(args[++i]);
-          if (!v) return fail("bad --max-wall-ms '" + args[i] + "'");
-          opt.maxWallMs = *v;
+          opt.maxWallMs = parseCount("--max-wall-ms", args[++i]);
         } else if (startsWith(args[i], "--inject=")) {
           opt.injectSpec = args[i].substr(9);
         } else if (startsWith(args[i], "--checkpoint=")) {
@@ -1380,11 +1271,8 @@ CommandResult dispatch(const std::vector<std::string>& args) {
             return fail("bad --checkpoint (want a file path)");
           }
         } else if (startsWith(args[i], "--checkpoint-every=")) {
-          const auto v = parseInt(args[i].substr(19));
-          if (!v || *v == 0) {
-            return fail("bad --checkpoint-every '" + args[i] + "'");
-          }
-          opt.checkpointEverySteps = *v;
+          opt.checkpointEverySteps =
+              parseCount("--checkpoint-every", args[i].substr(19), 1);
         } else if (startsWith(args[i], "--resume=")) {
           opt.resumePath = args[i].substr(9);
           if (opt.resumePath.empty()) {
@@ -1393,19 +1281,14 @@ CommandResult dispatch(const std::vector<std::string>& args) {
         } else if (args[i] == "--clock=manual") {
           opt.manualClockStepUs = 1;
         } else if (startsWith(args[i], "--clock=manual:")) {
-          const auto v = parseInt(args[i].substr(15));
-          if (!v || *v == 0) return fail("bad --clock step '" + args[i] + "'");
-          opt.manualClockStepUs = *v;
+          opt.manualClockStepUs =
+              parseCount("--clock=manual", args[i].substr(15), 1);
         } else if ((args[i] == "--jobs" && i + 1 < args.size()) ||
                    startsWith(args[i], "--jobs=")) {
           const std::string v = startsWith(args[i], "--jobs=")
                                     ? args[i].substr(7)
                                     : args[++i];
-          const auto n = parseInt(v);
-          if (!n || *n == 0 || *n > 64) {
-            return fail("bad --jobs count '" + v + "' (want 1..64)");
-          }
-          opt.jobs = *n;
+          opt.jobs = parseCount("--jobs", v, 1, 64);
         } else if (args[i] == "--prefilter=on") {
           opt.prefilterOn = true;
         } else if (args[i] == "--prefilter=off") {
@@ -1424,10 +1307,8 @@ CommandResult dispatch(const std::vector<std::string>& args) {
         } else if (args[i] == "--qcache=off") {
           opt.qcacheOn = false;
         } else if (startsWith(args[i], "--qcache=")) {
-          const auto v = parseInt(args[i].substr(9));
-          if (!v || *v == 0) return fail("bad --qcache '" + args[i] + "'");
           opt.qcacheOn = true;
-          opt.qcacheCapacity = *v;
+          opt.qcacheCapacity = parseCount("--qcache", args[i].substr(9), 1);
         } else if (args[i] == "--progress") {
           opt.progressSeconds = 1.0;
         } else if (startsWith(args[i], "--progress=")) {

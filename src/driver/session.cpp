@@ -33,10 +33,8 @@ Session::Session(const std::string& isa, const std::string& asmSource,
   if (opt_.useBaselineEngine) {
     check(isa == "rv32e", "baseline engine only exists for rv32e");
     exec_ = std::make_unique<baseline::Rv32Engine>(*svc_);
-  } else if (opt_.engineKind == core::AdlEngineKind::Interp) {
-    exec_ = std::make_unique<core::AdlExecutor>(*model_, *svc_);
   } else {
-    exec_ = std::make_unique<core::BytecodeExecutor>(*model_, *svc_);
+    exec_ = core::makeAdlExecutor(opt_.engineKind, *model_, *svc_);
   }
 }
 

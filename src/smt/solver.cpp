@@ -269,16 +269,8 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
       row.cost += cost;
     }
     if (queryHist_) queryHist_->record(us);
-    if (listener_) listener_->onCheck(permanentAsserts_, assumptions, r, us, cached);
-    for (QueryListener* l : extraListeners_) {
+    for (QueryListener* l : listeners_) {
       l->onCheck(permanentAsserts_, assumptions, r, us, cached);
-    }
-    if (tel_ && tel_->tracing()) {
-      tel_->emit(telemetry::EventKind::SolverQuery,
-                 {{"result", checkResultName(r)},
-                  {"us", us},
-                  {"cached", cached ? 1 : 0},
-                  {"assumptions", static_cast<uint64_t>(assumptions.size())}});
     }
     return r;
   };

@@ -208,20 +208,15 @@ class SmtSolver {
   SolverTelemetry telemetrySnapshot() const;
 
   /// Attach a telemetry bundle (may be null to detach): records the
-  /// solver.query_us latency histogram, query/cache counters and
-  /// solver_query trace events; forwarded to the SAT core and the
-  /// bit-blaster for their own counters.
+  /// solver.query_us latency histogram and query/cache counters;
+  /// forwarded to the SAT core and the bit-blaster for their own counters.
   void setTelemetry(telemetry::Telemetry* t);
 
-  /// Attach a query-capture listener (null to detach). Every check() —
-  /// including cache hits and short-circuited unsat checks — is reported.
-  void setQueryListener(QueryListener* l) { listener_ = l; }
-
-  /// Attach an *additional* listener (not owned, never detached): lets the
-  /// event bus observe queries alongside a --query-log capture. Reported
-  /// after the primary listener, in attachment order.
+  /// Attach a query listener (not owned, never detached; null is
+  /// ignored). Every check() — including cache hits and short-circuited
+  /// unsat checks — is reported to each listener, in attachment order.
   void addQueryListener(QueryListener* l) {
-    if (l != nullptr) extraListeners_.push_back(l);
+    if (l != nullptr) listeners_.push_back(l);
   }
 
   /// Solve assumptions /\ permanent asserts from scratch, sharing no state
@@ -358,8 +353,7 @@ class SmtSolver {
   bool shapeProfiling_ = false;
   std::map<unsigned, ShapeRow> shapes_;
 
-  QueryListener* listener_ = nullptr;
-  std::vector<QueryListener*> extraListeners_;
+  std::vector<QueryListener*> listeners_;
 
   // Telemetry (null when detached; hot paths branch on the pointers).
   telemetry::Telemetry* tel_ = nullptr;

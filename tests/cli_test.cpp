@@ -2,6 +2,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "driver/cli.h"
 
@@ -15,16 +17,16 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-/// Count JSONL trace lines of the given event kind.
-size_t countEvents(const std::string& jsonl, const std::string& kind) {
-  const std::string needle = "{\"ev\":\"" + kind + "\",";
+/// Count adlsym-events-v1 lines of the given event type.
+size_t countEvents(const std::string& jsonl, const std::string& type) {
+  const std::string needle = ",\"type\":\"" + type + "\"";
   size_t n = 0;
   std::istringstream in(jsonl);
   std::string line;
   while (std::getline(in, line)) {
     EXPECT_EQ(line.front(), '{') << line;
     EXPECT_EQ(line.back(), '}') << line;
-    if (line.compare(0, needle.size(), needle) == 0) ++n;
+    if (line.find(needle) != std::string::npos) ++n;
   }
   return n;
 }
@@ -126,57 +128,59 @@ TEST(Cli, ExploreCoverageAndMerge) {
   EXPECT_NE(r.output.find(" * "), std::string::npos);
 }
 
-TEST(Cli, ExploreStatsJsonAndTrace) {
+TEST(Cli, ExploreStatsJsonAndEvents) {
   const auto img = cmdAsm("rv32e", kProgram);
   ASSERT_EQ(img.exitCode, 0);
-  ExploreOptions opt;
-  opt.statsJsonPath = testing::TempDir() + "cli_stats.json";
-  opt.tracePath = testing::TempDir() + "cli_trace.jsonl";
-  const auto r = cmdExplore("rv32e", img.output, opt);
-  ASSERT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("paths=2"), std::string::npos);
+  // Both engines: the sequential explorer and the worker pool.
+  for (const uint64_t jobs : {0, 2}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    ExploreOptions opt;
+    opt.jobs = jobs;
+    opt.statsJsonPath = testing::TempDir() + "cli_stats.json";
+    opt.eventsPath = testing::TempDir() + "cli_events_counts.jsonl";
+    const auto r = cmdExplore("rv32e", img.output, opt);
+    ASSERT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_NE(r.output.find("paths=2"), std::string::npos);
 
-  const std::string stats = slurp(opt.statsJsonPath);
-  EXPECT_NE(stats.find("\"schema\":\"adlsym-stats-v8\""), std::string::npos);
-  EXPECT_NE(stats.find("\"command\":\"explore\""), std::string::npos);
-  EXPECT_NE(stats.find("\"isa\":\"rv32e\""), std::string::npos);
-  EXPECT_NE(stats.find("\"paths\":2"), std::string::npos);
-  EXPECT_NE(stats.find("\"solver\""), std::string::npos);
-  EXPECT_NE(stats.find("\"solver.query_us\""), std::string::npos);
-  EXPECT_NE(stats.find("\"metrics\""), std::string::npos);
-  EXPECT_NE(stats.find("\"explore.paths\":2"), std::string::npos);
+    const std::string stats = slurp(opt.statsJsonPath);
+    EXPECT_NE(stats.find("\"schema\":\"adlsym-stats-v8\""), std::string::npos);
+    EXPECT_NE(stats.find("\"command\":\"explore\""), std::string::npos);
+    EXPECT_NE(stats.find("\"isa\":\"rv32e\""), std::string::npos);
+    EXPECT_NE(stats.find("\"paths\":2"), std::string::npos);
+    EXPECT_NE(stats.find("\"solver\""), std::string::npos);
+    EXPECT_NE(stats.find("\"solver.query_us\""), std::string::npos);
+    EXPECT_NE(stats.find("\"metrics\""), std::string::npos);
+    EXPECT_NE(stats.find("\"explore.paths\":2"), std::string::npos);
 
-  // v2 additions: per-opcode execution counts and the branch-site table.
-  EXPECT_NE(stats.find("\"opcodes\":{"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"beq\":1"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"halti\":2"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"branch_sites\":[{\"pc\":4,\"hits\":1,\"forks\":1,"
-                       "\"infeasible\":0}]"),
-            std::string::npos)
-      << stats;
+    // v2 additions: per-opcode execution counts and the branch-site table.
+    EXPECT_NE(stats.find("\"opcodes\":{"), std::string::npos) << stats;
+    EXPECT_NE(stats.find("\"beq\":1"), std::string::npos) << stats;
+    EXPECT_NE(stats.find("\"halti\":2"), std::string::npos) << stats;
+    EXPECT_NE(stats.find("\"branch_sites\":[{\"pc\":4,\"hits\":1,\"forks\":1,"
+                         "\"infeasible\":0}]"),
+              std::string::npos)
+        << stats;
 
-  // The trace's path_done count equals the printed/emitted path count.
-  const std::string trace = slurp(opt.tracePath);
-  EXPECT_EQ(countEvents(trace, "path_done"), 2u);
-  EXPECT_GT(countEvents(trace, "step"), 0u);
-  EXPECT_EQ(countEvents(trace, "phase"), 2u);  // begin + end
+    // The stream's path_done count equals the printed path count.
+    const std::string events = slurp(opt.eventsPath);
+    EXPECT_EQ(countEvents(events, "path_done"), 2u);
+    EXPECT_GT(countEvents(events, "step"), 0u);
+    EXPECT_EQ(countEvents(events, "run_begin"), 1u);
+    EXPECT_EQ(countEvents(events, "run_end"), 1u);
+  }
 }
 
-TEST(Cli, RunStatsJsonAndTrace) {
+TEST(Cli, RunStatsJson) {
   const auto img = cmdAsm("rv32e", kProgram);
   ASSERT_EQ(img.exitCode, 0);
   RunOptions ropt;
   ropt.statsJsonPath = testing::TempDir() + "cli_run_stats.json";
-  ropt.tracePath = testing::TempDir() + "cli_run_trace.jsonl";
   const auto r = cmdRun("rv32e", img.output, {7}, ropt);
   EXPECT_EQ(r.exitCode, 0);
   const std::string stats = slurp(ropt.statsJsonPath);
   EXPECT_NE(stats.find("\"command\":\"run\""), std::string::npos);
   EXPECT_NE(stats.find("\"status\":\"exited\""), std::string::npos);
   EXPECT_NE(stats.find("\"exit_code\":1"), std::string::npos);
-  const std::string trace = slurp(ropt.tracePath);
-  EXPECT_GT(countEvents(trace, "step"), 0u);
-  EXPECT_EQ(countEvents(trace, "path_done"), 1u);
 }
 
 TEST(Cli, DispatchParsesObservabilityFlags) {
@@ -368,6 +372,27 @@ TEST(CliEvents, UsageErrors) {
   EXPECT_EQ(dispatch({"explore", "rv32e", imgPath, "--events="}).exitCode, 2);
   EXPECT_EQ(dispatch({"explore", "rv32e", imgPath, "--manifest="}).exitCode,
             2);
+  // Count-valued flags reject non-numeric and negative values.
+  const std::vector<std::vector<std::string>> badCounts = {
+      {"--max-paths", "abc"},        {"--max-paths", "-1"},
+      {"--max-steps", "-5"},         {"--max-steps", "1x"},
+      {"--max-frontier", "-3"},      {"--mem-budget-mb", "lots"},
+      {"--solver-timeout-ms", "-1"}, {"--max-wall-ms", "soon"},
+      {"--jobs", "-2"},              {"--jobs=two"},
+      {"--events-snapshot=-1"},      {"--events-snapshot=x"},
+      {"--checkpoint-every=-4"},     {"--qcache=-8"},
+      {"--qcache=big"},              {"--clock=manual:-1"},
+      {"--clock=manual:x"},
+  };
+  for (const auto& flag : badCounts) {
+    std::vector<std::string> args = {"explore", "rv32e", imgPath};
+    args.insert(args.end(), flag.begin(), flag.end());
+    EXPECT_EQ(dispatch(args).exitCode, 2) << flag.front();
+  }
+  // There is no --trace option (events go through --events).
+  EXPECT_EQ(dispatch({"explore", "rv32e", imgPath, "--trace=x"}).exitCode, 2);
+  EXPECT_EQ(dispatch({"profile", "rv32e", imgPath, "--trace=x"}).exitCode, 2);
+  EXPECT_EQ(dispatch({"run", "rv32e", imgPath, "--trace=x"}).exitCode, 2);
   // Usage text documents the new surface.
   const std::string u = usage();
   EXPECT_NE(u.find("--events="), std::string::npos);

@@ -9,6 +9,7 @@
 
 #include "driver/session.h"
 #include "isa/registry.h"
+#include "obs/events.h"
 #include "obs/pathforest.h"
 #include "obs/progress.h"
 #include "obs/querylog.h"
@@ -171,7 +172,7 @@ TEST(QueryReplay, RoundTripsOnEveryIsa) {
       obs::QueryLogger qlog(dir);
       sopt.explorer.observer = &qlog;
       auto session = Session::forPortable(workloads::progEarlyExit(2), isa, sopt);
-      session->solver().setQueryListener(&qlog);
+      session->solver().addQueryListener(&qlog);
       session->explore();
       EXPECT_GT(qlog.queriesLogged(), 0u) << isa;
     }
@@ -189,7 +190,7 @@ TEST(QueryReplay, SidecarsCarryOriginAndVerdict) {
   obs::QueryLogger qlog(dir);
   sopt.explorer.observer = &qlog;
   Session session("rv32e", kBranchy, sopt);
-  session.solver().setQueryListener(&qlog);
+  session.solver().addQueryListener(&qlog);
   session.explore();
 
   const std::string meta = slurp(dir + "/q000000.json");
@@ -215,7 +216,7 @@ TEST(QueryReplay, DetectsCorruptedVerdictAndScript) {
     obs::QueryLogger qlog(dir);
     sopt.explorer.observer = &qlog;
     Session session("rv32e", kBranchy, sopt);
-    session.solver().setQueryListener(&qlog);
+    session.solver().addQueryListener(&qlog);
     session.explore();
     ASSERT_GE(qlog.queriesLogged(), 2u);
   }
@@ -340,12 +341,11 @@ TEST(SmtLibReader, RejectsWhatThePrinterCannotProduce) {
 TEST(Progress, BeatsOnManualClockWithoutSleeping) {
   telemetry::ManualClock clk;
   telemetry::Telemetry tel(clk);
-  std::ostringstream trace;
-  telemetry::JsonlTraceSink sink(trace);
-  tel.setSink(&sink);
+  std::ostringstream events;
+  obs::EventBus bus(events, &tel);
 
   std::ostringstream out;
-  obs::ProgressMeter meter(&tel, out, 0.001);  // beat every 1000 us
+  obs::ProgressMeter meter(&tel, out, 0.001, &bus);  // beat every 1000 us
 
   core::ExploreObserver::StepInfo si;
   si.frontierSize = 3;
@@ -365,14 +365,16 @@ TEST(Progress, BeatsOnManualClockWithoutSleeping) {
   EXPECT_NE(text.find("frontier=3"), std::string::npos);
   EXPECT_NE(text.find("steps/s="), std::string::npos);
 
-  // Each beat also lands in the trace as a heartbeat event.
+  // Each beat is forwarded to the event bus as a heartbeat event.
+  bus.flush();
   size_t heartbeats = 0;
-  std::istringstream lines(trace.str());
+  std::istringstream lines(events.str());
   std::string line;
   while (std::getline(lines, line)) {
-    if (line.find("\"ev\":\"heartbeat\"") != std::string::npos) ++heartbeats;
+    if (line.find("\"type\":\"heartbeat\"") != std::string::npos) ++heartbeats;
   }
-  EXPECT_EQ(heartbeats, 4u) << trace.str();
+  EXPECT_EQ(heartbeats, 4u) << events.str();
+  EXPECT_EQ(bus.counts().heartbeat, 4u);
 }
 
 TEST(Progress, FiresDuringExplorationUnderManualClock) {

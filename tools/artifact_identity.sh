@@ -1,0 +1,88 @@
+#!/usr/bin/env bash
+# Artifact byte-identity check between two adlsym builds: runs the same
+# explorations with both and requires equal stdout, exit codes and
+# artifacts. Meant for refactors that must not change any output.
+#
+# Every portable workload runs on every shipped ISA under --clock=manual in
+# three shapes:
+#   seq   sequential engine with --stats-json --path-forest --path-dot
+#         --profile --profile-folded --events --manifest --query-log
+#   j4    --jobs 4 with the same flags minus --query-log
+#   ckN   --jobs 1 and --jobs 4 with --checkpoint-every=4 --checkpoint
+# Parallel runs write events in a schedule-dependent order, so their
+# streams are compared after tools/events_canon, and the --jobs 4
+# manifests (which hash the raw stream) are skipped.
+#
+# usage: tools/artifact_identity.sh <old-build-dir> <new-build-dir> <scratch-dir>
+set -euo pipefail
+
+usage="usage: artifact_identity.sh <old-build-dir> <new-build-dir> <scratch-dir>"
+old=$(cd "${1:?$usage}" && pwd)
+new=$(cd "${2:?$usage}" && pwd)
+scratch=${3:?$usage}
+canon="$new/tools/events_canon"
+wimg="$new/tools/workload_img"
+mkdir -p "$scratch"
+scratch=$(cd "$scratch" && pwd)
+
+full=(--stats-json=stats.json --path-forest=forest.json --path-dot=forest.dot
+      --profile=profile.json --profile-folded=profile.folded
+      --events=events.jsonl --manifest=manifest.json)
+ckpt=(--stats-json=stats.json --path-forest=forest.json --events=events.jsonl
+      --manifest=manifest.json --checkpoint-every=4 --checkpoint=final.ckpt)
+
+runs=0
+fails=0
+# run <build> <dir> <isa> <flags...>: one exploration in <dir>, with paths
+# relative to it so both builds echo the same argv into the manifest.
+run() {
+  local build=$1 dir=$2 isa=$3
+  shift 3
+  rm -rf "$dir"
+  mkdir -p "$dir"
+  cp "$scratch/prog.img" "$dir/prog.img"
+  local rc=0
+  (cd "$dir" && "$build/tools/adlsym" explore "$isa" prog.img \
+      --clock=manual "$@" > stdout.txt 2> /dev/null) || rc=$?
+  echo "$rc" > "$dir/exit.txt"
+}
+
+# compare <case> <canon-events:0|1> <skip-manifest:0|1>
+compare() {
+  local c=$1 canonEvents=$2 skipManifest=$3 a="$scratch/old/$1" b="$scratch/new/$1"
+  runs=$((runs + 1))
+  if [ "$canonEvents" = 1 ]; then
+    for d in "$a" "$b"; do
+      "$canon" "$d/events.jsonl" > "$d/events.canon"
+      rm "$d/events.jsonl"
+    done
+  fi
+  if [ "$skipManifest" = 1 ]; then rm -f "$a/manifest.json" "$b/manifest.json"; fi
+  if ! diff -r "$a" "$b" > /dev/null; then
+    echo "DIFF $c:" >&2
+    diff -rq "$a" "$b" >&2 || true
+    fails=$((fails + 1))
+  fi
+}
+
+for prog in bitcount3 max3 checksum2 parse2 earlyexit4; do
+  for isa in acc8 m16 rv32e stk16; do
+    "$wimg" "$prog" "$isa" > "$scratch/prog.img"
+    for side in old new; do
+      build=$old
+      [ "$side" = new ] && build=$new
+      base="$scratch/$side/$prog-$isa"
+      run "$build" "$base-seq" "$isa" "${full[@]}" --query-log=qlog
+      run "$build" "$base-j4" "$isa" "${full[@]}" --jobs 4
+      run "$build" "$base-ck1" "$isa" "${ckpt[@]}" --jobs 1
+      run "$build" "$base-ck4" "$isa" "${ckpt[@]}" --jobs 4
+    done
+    compare "$prog-$isa-seq" 0 0
+    compare "$prog-$isa-j4" 1 1
+    compare "$prog-$isa-ck1" 1 0
+    compare "$prog-$isa-ck4" 1 1
+  done
+done
+
+echo "artifact_identity: $runs cases, $fails differing"
+test "$fails" -eq 0
