@@ -38,10 +38,10 @@ int main() {
   for (const adlsym::core::PathResult& p : summary.paths) {
     const auto replayed = session.replay(p.test);
     std::printf("replay: exit=%llu (predicted %llu) -> %s\n",
-                static_cast<unsigned long long>(replayed.exitCode),
+                static_cast<unsigned long long>(
+                    replayed.exitCode.value_or(~0ull)),
                 static_cast<unsigned long long>(p.exitCode.value_or(~0ull)),
-                replayed.exitCode == p.exitCode.value_or(~0ull) ? "match"
-                                                                : "MISMATCH");
+                replayed.exitCode == p.exitCode ? "match" : "MISMATCH");
   }
   return 0;
 }

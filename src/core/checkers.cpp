@@ -17,6 +17,18 @@ const char* defectKindName(DefectKind k) {
   return "?";
 }
 
+smt::TermRef EngineServices::newInput(MachineState& st, unsigned width) {
+  const unsigned k = st.inputCounter++;
+  std::string name = formatStr("in%u_w%u", k, width);
+  // mkConst truncates the stream value to the input's width.
+  const smt::TermRef v =
+      inputStream == nullptr
+          ? tm.mkVar(width, name)
+          : tm.mkConst(width, k < inputStream->size() ? (*inputStream)[k] : 0);
+  st.inputs.push_back(InputRecord{std::move(name), width, v});
+  return v;
+}
+
 bool EngineServices::feasible(const MachineState& st, smt::TermRef extra) {
   std::vector<smt::TermRef> assumptions = st.pathCond;
   if (extra.valid()) assumptions.push_back(extra);

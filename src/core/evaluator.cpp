@@ -160,13 +160,7 @@ smt::TermRef AdlExecutor::evalExpr(const Expr& e, MachineState& st, Frame& f,
       if (!v.valid()) dead = true;
       return v;
     }
-    case ExprOp::Input: {
-      const std::string name =
-          formatStr("in%u_w%u", st.inputCounter++, e.width);
-      const smt::TermRef v = tm.mkVar(e.width, name);
-      st.inputs.push_back(InputRecord{name, e.width, v});
-      return v;
-    }
+    case ExprOp::Input: return svc_.newInput(st, e.width);
     case ExprOp::Not: {
       const smt::TermRef a = sub(0);
       return dead ? smt::TermRef() : tm.mkNot(a);

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/state.h"
 #include "loader/image.h"
@@ -46,6 +47,15 @@ class EngineServices {
   /// Optional observability bundle shared by every layer of this run; null
   /// = telemetry disabled (zero cost: call sites branch on the pointer).
   telemetry::Telemetry* telemetry = nullptr;
+  /// Concrete input stream (not owned). Null = inputs are fresh symbolic
+  /// variables; set = input k reads inputStream[k] (0 past the end), so
+  /// the whole run is concrete (runConcrete, core/explorer.h).
+  const std::vector<uint64_t>* inputStream = nullptr;
+
+  /// Create the state's next input of `width` bits: named in<k>_w<width>,
+  /// recorded in st.inputs, and returned as a fresh variable or, with an
+  /// input stream bound, as the truncated stream value.
+  smt::TermRef newInput(MachineState& st, unsigned width);
 
   /// Is pathCond(state) /\ extra satisfiable? Unknown counts as
   /// infeasible (documented limitation; counted in solver stats).

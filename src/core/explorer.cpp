@@ -1,7 +1,9 @@
 #include "core/explorer.h"
 
 #include <algorithm>
+#include <limits>
 
+#include "core/rtlc.h"
 #include "core/testgen.h"
 #include "support/fault.h"
 #include "support/stop.h"
@@ -173,6 +175,13 @@ PathResult Explorer::finishPath(MachineState&& st, uint64_t node,
   if (st.defect) {
     r.defect = std::move(st.defect);
     r.test = r.defect->witness;
+    // A concrete run (bound input stream) also reports what the program
+    // output before the fault; its output terms are all constants.
+    if (svc_.inputStream != nullptr) {
+      for (const OutputRecord& o : st.outputs) {
+        r.outputs.push_back(o.term.constValue());
+      }
+    }
     if (config_.observer) config_.observer->onPathDone(node, r);
     return r;
   }
@@ -483,6 +492,30 @@ ExploreSummary Explorer::run() {
   summary.wallSeconds = double(clk.nowMicros() - startUs) / 1e6;
   svc_.solver.setWallDeadlineMicros(0);
   return summary;
+}
+
+PathResult runConcrete(const adl::ArchModel& model, const loader::Image& image,
+                       const EngineConfig& engine, AdlEngineKind kind,
+                       const std::vector<uint64_t>& inputs, uint64_t maxSteps,
+                       telemetry::Telemetry* telemetry) {
+  smt::TermManager tm;
+  smt::SmtSolver solver(tm);
+  EngineConfig cfg = engine;
+  cfg.generateTests = true;  // the exit code and outputs come from the model
+  EngineServices svc(tm, solver, image, cfg, telemetry);
+  svc.inputStream = &inputs;
+  const std::unique_ptr<Executor> exec = makeAdlExecutor(kind, model, svc);
+  ExplorerConfig ecfg;
+  ecfg.maxStepsPerPath = maxSteps;
+  ecfg.maxTotalSteps = std::numeric_limits<uint64_t>::max();
+  ExploreSummary summary = Explorer(*exec, svc, ecfg).run();
+  check(summary.paths.size() <= 1, "runConcrete: a concrete run forked");
+  if (summary.paths.empty()) {
+    PathResult dropped;
+    dropped.status = PathStatus::Infeasible;
+    return dropped;
+  }
+  return std::move(summary.paths.front());
 }
 
 }  // namespace adlsym::core

@@ -14,6 +14,10 @@
 #include "core/state.h"
 #include "support/rng.h"
 
+namespace adlsym::adl {
+class ArchModel;
+}
+
 namespace adlsym::core {
 
 enum class SearchStrategy : uint8_t {
@@ -147,5 +151,21 @@ class Explorer {
   telemetry::Counter* pathsCtr_ = nullptr;
   telemetry::Gauge* frontierPeak_ = nullptr;
 };
+
+/// Default instruction budget of one concrete run (runConcrete,
+/// Session::replay, `adlsym run`).
+constexpr uint64_t kConcreteStepBudget = 100000;
+
+/// One concrete run of `image` on the ADL engine `kind`, under the
+/// checkers of `engine`: input k reads inputs[k] truncated to its width
+/// (0 past the end), and the run stops after `maxSteps` instructions
+/// (Budget). This is the Explorer on a bound input stream; every value is
+/// a constant, so the single path never forks. A path the engine drops,
+/// which only a disabled checker allows, comes back Infeasible.
+PathResult runConcrete(const adl::ArchModel& model, const loader::Image& image,
+                       const EngineConfig& engine, AdlEngineKind kind,
+                       const std::vector<uint64_t>& inputs,
+                       uint64_t maxSteps = kConcreteStepBudget,
+                       telemetry::Telemetry* telemetry = nullptr);
 
 }  // namespace adlsym::core

@@ -695,14 +695,9 @@ void BytecodeExecutor::exec(MachineState st, SymFrame fr, size_t ip,
         fr.slots[op.dst] = v;
         break;
       }
-      case OpCode::Input: {
-        const std::string name =
-            formatStr("in%u_w%u", st.inputCounter++, unsigned{op.width});
-        const smt::TermRef v = tm.mkVar(op.width, name);
-        st.inputs.push_back(InputRecord{name, op.width, v});
-        fr.slots[op.dst] = v;
+      case OpCode::Input:
+        fr.slots[op.dst] = svc_.newInput(st, op.width);
         break;
-      }
       case OpCode::Not:
         fr.slots[op.dst] = tm.mkNot(fr.slots[op.a]);
         break;

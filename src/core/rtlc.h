@@ -105,7 +105,8 @@ struct Program {
   std::vector<Op> ops;
   uint16_t numSlots = 0;
   uint16_t numLetSlots = 0;
-  /// Static concrete-ineligibility: the program mints symbolic inputs.
+  /// Static concrete-ineligibility: the program reads an input, which
+  /// only EngineServices::newInput creates (bound or symbolic).
   bool hasInput = false;
 };
 

@@ -593,15 +593,17 @@ CommandResult cmdRun(const std::string& isaName, const std::string& imageText,
   auto model = isa::loadIsa(isaName);
   const loader::Image image = parseImageArg(imageText);
   CommandTelemetry ct(ropt.statsJsonPath);
-  core::ConcreteRunner runner(*model, image, ct.get());
-  const auto r = runner.run(inputs);
+  const core::PathResult r = core::runConcrete(
+      *model, image, core::EngineConfig{}, core::AdlEngineKind::Bytecode,
+      inputs, core::kConcreteStepBudget, ct.get());
+  const uint64_t exitCode = r.exitCode.value_or(0);
   ct.writeStatsJson("run", isaName, [&](json::Writer& w) {
     w.key("run").beginObject();
     w.kv("status", core::pathStatusName(r.status));
-    w.kv("exit_code", r.exitCode);
+    w.kv("exit_code", exitCode);
     w.kv("steps", r.steps);
     w.kv("final_pc", r.finalPc);
-    if (r.defect) w.kv("defect", core::defectKindName(*r.defect));
+    if (r.defect) w.kv("defect", core::defectKindName(r.defect->kind));
     w.key("outputs").beginArray();
     for (const uint64_t v : r.outputs) w.value(v);
     w.endArray();
@@ -609,10 +611,10 @@ CommandResult cmdRun(const std::string& isaName, const std::string& imageText,
   });
   std::ostringstream os;
   os << "status: " << core::pathStatusName(r.status);
-  if (r.status == core::PathStatus::Exited) os << " (code " << r.exitCode << ")";
+  if (r.status == core::PathStatus::Exited) os << " (code " << exitCode << ")";
   if (r.defect) {
-    os << formatStr(" %s at pc=0x%llx", core::defectKindName(*r.defect),
-                    static_cast<unsigned long long>(r.defectPc));
+    os << formatStr(" %s at pc=0x%llx", core::defectKindName(r.defect->kind),
+                    static_cast<unsigned long long>(r.defect->pc));
   }
   os << "\nsteps: " << r.steps << "\noutputs:";
   for (const uint64_t v : r.outputs) os << ' ' << v;

@@ -54,10 +54,13 @@ core::ConcolicResult Session::concolic(core::ConcolicConfig cfg) {
   return driver.run();
 }
 
-core::ConcreteResult Session::replay(const core::TestCase& tc,
-                                     uint64_t maxSteps) {
-  core::ConcreteRunner runner(*model_, image_, opt_.telemetry);
-  return runner.run(tc, maxSteps);
+core::PathResult Session::replay(const core::TestCase& tc,
+                                 uint64_t maxSteps) {
+  std::vector<uint64_t> inputs;
+  inputs.reserve(tc.inputs.size());
+  for (const core::TestCase::Value& v : tc.inputs) inputs.push_back(v.value);
+  return core::runConcrete(*model_, image_, opt_.engine,
+                           core::AdlEngineKind::Interp, inputs, maxSteps);
 }
 
 }  // namespace adlsym::driver

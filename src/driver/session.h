@@ -11,7 +11,6 @@
 #include "adl/model.h"
 #include "asmgen/assembler.h"
 #include "core/concolic.h"
-#include "core/concrete.h"
 #include "core/evaluator.h"
 #include "core/explorer.h"
 #include "loader/image.h"
@@ -74,9 +73,11 @@ class Session {
   /// solver work in this mode.
   core::ConcolicResult concolic(core::ConcolicConfig cfg = {});
 
-  /// Replay a witness concretely with the same semantics.
-  core::ConcreteResult replay(const core::TestCase& tc,
-                              uint64_t maxSteps = 100000);
+  /// Replay a witness concretely on the tree-walking reference engine,
+  /// under this session's EngineConfig (core::runConcrete). Records no
+  /// telemetry: the session's metrics count explore and concolic work only.
+  core::PathResult replay(const core::TestCase& tc,
+                          uint64_t maxSteps = core::kConcreteStepBudget);
 
   const adl::ArchModel& model() const { return *model_; }
   const loader::Image& image() const { return image_; }

@@ -149,7 +149,7 @@ AbsValue absContaining(Rng& rng, unsigned width, uint64_t v) {
 
 // ------------------------------------------------- containment soundness --
 
-TEST(AbsDomFuzz, TransferFunctionsContainConcreteResults) {
+TEST(AbsDomFuzz, TransferFunctionsContainConcreteValues) {
   Rng rng(0xabcdef12345678ull);
   const int kIters = 12000;
   for (int iter = 0; iter < kIters; ++iter) {

@@ -51,7 +51,8 @@ void expectReplayConsistent(Session& session, const ExploreSummary& summary) {
     } else if (p.status == core::PathStatus::Defect) {
       const auto r = session.replay(p.defect->witness);
       ASSERT_EQ(r.status, core::PathStatus::Defect);
-      EXPECT_EQ(r.defect, p.defect->kind);
+      ASSERT_TRUE(r.defect.has_value());
+      EXPECT_EQ(r.defect->kind, p.defect->kind);
     }
   }
 }

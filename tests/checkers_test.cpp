@@ -227,23 +227,32 @@ TEST(Checkers, TrapInsideConditionIsPathSensitive) {
 TEST(Checkers, CheckersCanBeDisabled) {
   driver::SessionOptions opt;
   opt.engine.checkDivZero = false;
-  const auto s = explore("rv32e", R"(
+  Session session("rv32e", R"(
     in8 x1
     addi x2, x0, 100
     divu x3, x2, x1
     out x3
     halti 0
   )", opt);
+  const auto s = session.explore();
   EXPECT_EQ(countDefects(s, DefectKind::DivByZero), 0u);
   // With SMT-LIB semantics udiv(100, 0) = all-ones; both behaviors are on
   // one path now.
   ASSERT_EQ(s.paths.size(), 1u);
+  // Replay runs under the session's checkers too: input 0 divides by zero
+  // without a defect.
+  TestCase zero;
+  zero.inputs.push_back({"in0_w8", 8, 0});
+  const PathResult r = session.replay(zero);
+  EXPECT_EQ(r.status, PathStatus::Exited);
+  EXPECT_FALSE(r.defect.has_value());
+  EXPECT_EQ(r.outputs, std::vector<uint64_t>{0xffffffffu});
 }
 
 TEST(Checkers, OobCheckDisabledStillConstrainsInBounds) {
   driver::SessionOptions opt;
   opt.engine.checkOob = false;
-  const auto s = explore("rv32e", R"(
+  Session session("rv32e", R"(
     .section text 0x0
     .entry _start
   _start:
@@ -256,9 +265,15 @@ TEST(Checkers, OobCheckDisabledStillConstrainsInBounds) {
     .section data 0x400 rw
   buf: .byte 5, 6, 7, 8
   )", opt);
+  const auto s = session.explore();
   ASSERT_EQ(s.paths.size(), 1u);
   EXPECT_EQ(s.paths[0].status, PathStatus::Exited);
   EXPECT_LT(s.paths[0].test.inputs[0].value, 4u);  // forced in-bounds
+  EXPECT_EQ(session.replay(s.paths[0].test).status, PathStatus::Exited);
+  // An out-of-bounds input has no path: the unchecked engine drops it.
+  TestCase oob;
+  oob.inputs.push_back({"in0_w8", 8, 200});
+  EXPECT_EQ(session.replay(oob).status, PathStatus::Infeasible);
 }
 
 }  // namespace

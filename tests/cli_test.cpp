@@ -181,6 +181,30 @@ TEST(Cli, RunStatsJson) {
   EXPECT_NE(stats.find("\"command\":\"run\""), std::string::npos);
   EXPECT_NE(stats.find("\"status\":\"exited\""), std::string::npos);
   EXPECT_NE(stats.find("\"exit_code\":1"), std::string::npos);
+  // The run goes through the explorer on the bytecode engine, whose
+  // metrics replace the old per-runner step counter.
+  EXPECT_NE(stats.find("\"explore.paths\":1"), std::string::npos);
+  EXPECT_NE(stats.find("\"engine.steps\""), std::string::npos);
+  EXPECT_EQ(stats.find("\"run.steps\""), std::string::npos);
+}
+
+TEST(Cli, RunDefectCountsRetiredSteps) {
+  const auto img = cmdAsm("rv32e", R"(
+    in8 x1
+    addi x2, x0, 9
+    out x2
+    divu x3, x2, x1
+    out x3
+    halti 0
+  )");
+  ASSERT_EQ(img.exitCode, 0) << img.output;
+  // The faulting divu does not retire: 3 steps, as on the symbolic path.
+  // The output before the fault is still reported.
+  const auto r = cmdRun("rv32e", img.output, {0});
+  EXPECT_EQ(r.exitCode, 1);
+  EXPECT_EQ(r.output,
+            "status: defect division-by-zero at pc=0xc\n"
+            "steps: 3\noutputs: 9\n");
 }
 
 TEST(Cli, DispatchParsesObservabilityFlags) {

@@ -84,7 +84,8 @@ TEST(Concolic, FindsSeededDefectsWithWitnesses) {
       found = true;
       const auto replay = s->replay(p.defect->witness);
       EXPECT_EQ(replay.status, PathStatus::Defect);
-      EXPECT_EQ(replay.defect, p.defect->kind);
+      ASSERT_TRUE(replay.defect.has_value());
+      EXPECT_EQ(replay.defect->kind, p.defect->kind);
     }
     EXPECT_TRUE(found) << "concolic search missed " << dc.name;
   }

@@ -71,7 +71,9 @@ void expectInvariant(const workloads::PProgram& p) {
           const auto r = toRun.session->replay(path.defect->witness);
           ASSERT_EQ(r.status, PathStatus::Defect)
               << fromIsa << " defect witness diverged on " << toIsa;
-          EXPECT_EQ(r.defect, path.defect->kind) << fromIsa << "->" << toIsa;
+          ASSERT_TRUE(r.defect.has_value()) << fromIsa << "->" << toIsa;
+          EXPECT_EQ(r.defect->kind, path.defect->kind)
+              << fromIsa << "->" << toIsa;
         }
       }
     }

@@ -191,7 +191,8 @@ TEST(Explorer, StateMergingPreservesDefectDetection) {
     if (!p.defect) continue;
     EXPECT_EQ(p.defect->kind, DefectKind::DivByZero);
     const auto r = s.replay(p.defect->witness);
-    EXPECT_EQ(r.defect, DefectKind::DivByZero);
+    ASSERT_TRUE(r.defect.has_value());
+    EXPECT_EQ(r.defect->kind, DefectKind::DivByZero);
   }
 }
 

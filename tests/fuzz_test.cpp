@@ -130,7 +130,8 @@ void verifyReplay(Session& session, const core::ExploreSummary& summary) {
     } else if (p.status == PathStatus::Defect) {
       const auto r = session.replay(p.defect->witness);
       ASSERT_EQ(r.status, PathStatus::Defect) << core::formatPath(p);
-      EXPECT_EQ(r.defect, p.defect->kind);
+      ASSERT_TRUE(r.defect.has_value());
+      EXPECT_EQ(r.defect->kind, p.defect->kind);
     }
   }
 }

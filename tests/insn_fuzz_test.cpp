@@ -1,15 +1,15 @@
 // Instruction-level differential fuzzing: random byte streams are decoded
 // through the model; every stream that forms a valid instruction sequence
-// becomes a program that is executed BOTH by the symbolic engine and the
-// concrete interpreter, and the observable results must agree. Unlike the
-// pgen-level fuzz (fuzz_test.cpp), this reaches every instruction of every
-// ISA — including flags, shifts, stack manipulation and corner encodings
-// the portable IR never emits.
+// becomes a program that is explored symbolically on the tree-walking
+// engine, and every witness replayed concretely on the bytecode engine must
+// reproduce the observable results. Unlike the pgen-level fuzz
+// (fuzz_test.cpp), this reaches every instruction of every ISA — including
+// flags, shifts, stack manipulation and corner encodings the portable IR
+// never emits.
 #include <gtest/gtest.h>
 
 #include <map>
 
-#include "core/concrete.h"
 #include "core/rtlc.h"
 #include "core/testgen.h"
 #include "decode/decoder.h"
@@ -95,12 +95,17 @@ TEST_P(InsnFuzz, SymbolicAgreesWithConcrete) {
     core::Explorer explorer(executor, services, exploreCfg);
     const auto summary = explorer.run();
 
-    core::ConcreteRunner runner(*model, img);
+    // Replay each witness on the other engine (bytecode), so the check
+    // stays cross-engine.
     for (const auto& p : summary.paths) {
       if (p.status == core::PathStatus::Budget) continue;  // unaligned caps
       const core::TestCase& witness =
           p.defect ? p.defect->witness : p.test;
-      const auto r = runner.run(witness, 200);
+      std::vector<uint64_t> inputs;
+      for (const auto& v : witness.inputs) inputs.push_back(v.value);
+      const auto r = core::runConcrete(*model, img, engineCfg,
+                                       core::AdlEngineKind::Bytecode, inputs,
+                                       200);
       ASSERT_EQ(r.status, p.status)
           << isaName << " trial " << trial << "\n"
           << core::formatPath(p);
@@ -109,7 +114,8 @@ TEST_P(InsnFuzz, SymbolicAgreesWithConcrete) {
         EXPECT_EQ(r.outputs, p.outputs);
       }
       if (p.defect) {
-        EXPECT_EQ(r.defect, p.defect->kind) << core::formatPath(p);
+        ASSERT_TRUE(r.defect.has_value()) << core::formatPath(p);
+        EXPECT_EQ(r.defect->kind, p.defect->kind) << core::formatPath(p);
       }
     }
   }

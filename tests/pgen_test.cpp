@@ -3,7 +3,7 @@
 // C++ evaluation of the IR semantics.
 #include <gtest/gtest.h>
 
-#include "core/concrete.h"
+#include "core/explorer.h"
 #include "driver/session.h"
 #include "isa/registry.h"
 #include "support/rng.h"
@@ -129,16 +129,21 @@ TEST_P(PgenConcreteEquivalence, TortureMatchesReference) {
   asmgen::Assembler assembler(*model);
   auto img = assembler.assemble(emitAssembly(prog, isa), diags);
   ASSERT_TRUE(img.has_value()) << diags.str();
-  core::ConcreteRunner runner(*model, *img);
   Rng rng(42);
   for (int trial = 0; trial < 40; ++trial) {
     std::vector<uint64_t> inputs = {rng.below(256), rng.below(256)};
     const RefResult expect = referenceRun(prog, inputs);
-    const auto actual = runner.run(inputs);
-    ASSERT_EQ(actual.status, core::PathStatus::Exited)
-        << isa << " trial " << trial;
-    EXPECT_EQ(actual.outputs, expect.outputs) << isa << " trial " << trial;
-    EXPECT_EQ(actual.exitCode, expect.exitCode);
+    for (const core::AdlEngineKind kind :
+         {core::AdlEngineKind::Bytecode, core::AdlEngineKind::Interp}) {
+      SCOPED_TRACE(kind == core::AdlEngineKind::Bytecode ? "bytecode"
+                                                         : "interp");
+      const auto actual =
+          core::runConcrete(*model, *img, core::EngineConfig{}, kind, inputs);
+      ASSERT_EQ(actual.status, core::PathStatus::Exited)
+          << isa << " trial " << trial;
+      EXPECT_EQ(actual.outputs, expect.outputs) << isa << " trial " << trial;
+      EXPECT_EQ(actual.exitCode, expect.exitCode);
+    }
   }
 }
 

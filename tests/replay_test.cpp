@@ -34,8 +34,9 @@ void expectAllWitnessesSound(const workloads::PProgram& prog,
     } else if (p.status == PathStatus::Defect) {
       const auto r = s->replay(p.defect->witness);
       ASSERT_EQ(r.status, PathStatus::Defect) << core::formatPath(p);
-      EXPECT_EQ(r.defect, p.defect->kind);
-      EXPECT_EQ(r.defectPc, p.defect->pc);
+      ASSERT_TRUE(r.defect.has_value());
+      EXPECT_EQ(r.defect->kind, p.defect->kind);
+      EXPECT_EQ(r.defect->pc, p.defect->pc);
       ++replayed;
     }
   }

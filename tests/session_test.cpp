@@ -56,6 +56,20 @@ TEST(Session, WallClockBudgetStopsExploration) {
   EXPECT_GT(summary.totalSteps, 0u);
 }
 
+TEST(Session, ReplayRecordsNoTelemetry) {
+  telemetry::Telemetry tel;
+  SessionOptions opt;
+  opt.telemetry = &tel;
+  Session s("rv32e", "in8 x1\nout x1\nhalti 0\n", opt);
+  const auto summary = s.explore();
+  ASSERT_EQ(summary.paths.size(), 1u);
+  const std::string before = tel.metrics().toJson();
+  const auto r = s.replay(summary.paths[0].test);
+  EXPECT_EQ(r.status, core::PathStatus::Exited);
+  // Replay does not add to the session's explore and solver metrics.
+  EXPECT_EQ(tel.metrics().toJson(), before);
+}
+
 TEST(Session, CoverageReportMarksExecutedInsns) {
   Session s("rv32e", R"(
     in8 x5

@@ -189,7 +189,8 @@ TEST(Workloads, DefectWitnessesReplayToTheDefect) {
       if (!p.defect) continue;
       const auto replayed = s->replay(p.defect->witness);
       EXPECT_EQ(replayed.status, PathStatus::Defect);
-      EXPECT_EQ(replayed.defect, p.defect->kind);
+      ASSERT_TRUE(replayed.defect.has_value());
+      EXPECT_EQ(replayed.defect->kind, p.defect->kind);
     }
   }
 }

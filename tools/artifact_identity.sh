@@ -9,11 +9,15 @@
 #         --profile --profile-folded --events --manifest --query-log
 #   j4    --jobs 4 with the same flags minus --query-log
 #   ckN   --jobs 1 and --jobs 4 with --checkpoint-every=4 --checkpoint
+#   runK  `adlsym run --stats-json` on five input vectors (none, all 0,
+#         1 2 3 4, all 255, 300 7 65535 9); stats compared after
+#         tools/stats_strip, which drops the timing-bearing metrics block
 # Parallel runs write events in a schedule-dependent order, so their
 # streams are compared after tools/events_canon, and the --jobs 4
 # manifests (which hash the raw stream) are skipped.
 #
 # usage: tools/artifact_identity.sh <old-build-dir> <new-build-dir> <scratch-dir>
+# (the new build also provides events_canon, stats_strip and workload_img)
 set -euo pipefail
 
 usage="usage: artifact_identity.sh <old-build-dir> <new-build-dir> <scratch-dir>"
@@ -21,6 +25,7 @@ old=$(cd "${1:?$usage}" && pwd)
 new=$(cd "${2:?$usage}" && pwd)
 scratch=${3:?$usage}
 canon="$new/tools/events_canon"
+strip="$new/tools/stats_strip"
 wimg="$new/tools/workload_img"
 mkdir -p "$scratch"
 scratch=$(cd "$scratch" && pwd)
@@ -45,6 +50,22 @@ run() {
   (cd "$dir" && "$build/tools/adlsym" explore "$isa" prog.img \
       --clock=manual "$@" > stdout.txt 2> /dev/null) || rc=$?
   echo "$rc" > "$dir/exit.txt"
+}
+
+# concrete <build> <dir> <isa> <inputs...>: one `adlsym run` in <dir>.
+concrete() {
+  local build=$1 dir=$2 isa=$3
+  shift 3
+  rm -rf "$dir"
+  mkdir -p "$dir"
+  local rc=0
+  (cd "$dir" && "$build/tools/adlsym" run "$isa" "$scratch/prog.img" "$@" \
+      --stats-json=stats.json > stdout.txt 2> /dev/null) || rc=$?
+  echo "$rc" > "$dir/exit.txt"
+  if [ -f "$dir/stats.json" ]; then
+    "$strip" "$dir/stats.json" > "$dir/stats.strip"
+    rm "$dir/stats.json"
+  fi
 }
 
 # compare <case> <canon-events:0|1> <skip-manifest:0|1>
@@ -81,6 +102,17 @@ for prog in bitcount3 max3 checksum2 parse2 earlyexit4; do
     compare "$prog-$isa-j4" 1 1
     compare "$prog-$isa-ck1" 1 0
     compare "$prog-$isa-ck4" 1 1
+    k=0
+    for vec in "" "0 0 0 0" "1 2 3 4" "255 255 255 255" "300 7 65535 9"; do
+      for side in old new; do
+        build=$old
+        [ "$side" = new ] && build=$new
+        # shellcheck disable=SC2086  # split the vector into arguments
+        concrete "$build" "$scratch/$side/$prog-$isa-run$k" "$isa" $vec
+      done
+      compare "$prog-$isa-run$k" 0 0
+      k=$((k + 1))
+    done
   done
 done
 

@@ -22,7 +22,8 @@ build/tools/bench_diff --validate BENCH_*.json
 
 # The stats document is a versioned interface (docs/observability.md):
 # any new top-level key must be added to the stats_strip allowlist (and
-# documented) or this gate fails. The same run exercises the flight
+# documented) or this gate fails, for the explore and the run
+# documents alike. The explore run also exercises the flight
 # recorder end to end: the event stream must reconcile against the
 # stats counters and the run manifest must verify.
 echo "== stats schema key allowlist + flight-recorder reconciliation"
@@ -33,6 +34,9 @@ build/tools/adlsym explore rv32e "$ckdir/ck.img" --clock=manual \
   --events="$ckdir/events.jsonl" --manifest="$ckdir/manifest.json" \
   --stats-json="$ckdir/stats.json" > /dev/null
 build/tools/stats_strip --check-keys "$ckdir/stats.json"
+build/tools/adlsym run rv32e "$ckdir/ck.img" 7 \
+  --stats-json="$ckdir/run-stats.json" > /dev/null
+build/tools/stats_strip --check-keys "$ckdir/run-stats.json"
 build/tools/adlsym events summarize "$ckdir/events.jsonl" \
   --stats="$ckdir/stats.json" > /dev/null
 build/tools/adlsym verify-run "$ckdir/manifest.json" > /dev/null
