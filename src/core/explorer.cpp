@@ -8,27 +8,7 @@
 #include "support/fault.h"
 #include "support/stop.h"
 
-namespace {
-/// Approximate resident bytes per hash-consed term (node + bucket + ref
-/// bookkeeping); the governor's charge for the shared TermManager pool.
-constexpr size_t kBytesPerTerm = 48;
-}  // namespace
-
 namespace adlsym::core {
-
-Explorer::Explorer(Executor& exec, EngineServices& services,
-                   ExplorerConfig config)
-    : exec_(exec), svc_(services), config_(config) {
-  if (telemetry::Telemetry* t = svc_.telemetry) {
-    tel_ = t;
-    stepsCtr_ = &t->metrics().counter("explore.steps");
-    forksCtr_ = &t->metrics().counter("explore.forks");
-    dropsCtr_ = &t->metrics().counter("explore.drops");
-    mergesCtr_ = &t->metrics().counter("explore.merges");
-    pathsCtr_ = &t->metrics().counter("explore.paths");
-    frontierPeak_ = &t->metrics().gauge("explore.frontier_peak");
-  }
-}
 
 const char* strategyName(SearchStrategy s) {
   switch (s) {
@@ -40,56 +20,235 @@ const char* strategyName(SearchStrategy s) {
   return "?";
 }
 
-size_t Explorer::pickNext(const std::vector<Frontier>& frontier, Rng& rng) const {
-  switch (config_.strategy) {
+std::string keyToString(const PathKey& k) {
+  std::string out;
+  for (size_t i = 0; i < k.size(); ++i) {
+    if (i != 0) out += '.';
+    out += std::to_string(static_cast<uint32_t>(k[i]));
+  }
+  return out;
+}
+
+PathKey childKey(const PathKey& parent, bool forked, size_t i) {
+  PathKey k = parent;
+  if (forked) k.push_back(static_cast<char32_t>(i));
+  return k;
+}
+
+namespace {
+FrontierEntry takeAt(std::vector<FrontierEntry>& fr, size_t i) {
+  FrontierEntry e = std::move(fr[i]);
+  fr.erase(fr.begin() + static_cast<long>(i));
+  return e;
+}
+}  // namespace
+
+FrontierEntry takeNext(SearchStrategy s, std::vector<FrontierEntry>& fr,
+                       Rng& rng) {
+  switch (s) {
     case SearchStrategy::DFS:
-      return frontier.size() - 1;
+      break;  // plunge to path completion first: the back
     case SearchStrategy::BFS:
-      return 0;
+      return takeAt(fr, 0);
     case SearchStrategy::Random:
-      return static_cast<size_t>(rng.below(frontier.size()));
+      return takeAt(fr, static_cast<size_t>(rng.below(fr.size())));
     case SearchStrategy::Coverage: {
       // Highest new-coverage count wins; newest state breaks ties (keeps a
       // DFS flavor so progress is still made when nothing is novel).
       size_t best = 0;
-      for (size_t i = 1; i < frontier.size(); ++i) {
-        const Frontier& a = frontier[i];
-        const Frontier& b = frontier[best];
+      for (size_t i = 1; i < fr.size(); ++i) {
+        const FrontierEntry& a = fr[i];
+        const FrontierEntry& b = fr[best];
         if (a.newCovered > b.newCovered ||
             (a.newCovered == b.newCovered && a.order > b.order)) {
           best = i;
         }
       }
-      return best;
+      return takeAt(fr, best);
     }
   }
-  return frontier.size() - 1;
+  return takeAt(fr, fr.size() - 1);
 }
 
-size_t Explorer::pickEvict(const std::vector<Frontier>& frontier,
-                           Rng& rng) const {
-  switch (config_.strategy) {
+FrontierEntry takeVictim(SearchStrategy s, std::vector<FrontierEntry>& fr,
+                         Rng& rng) {
+  switch (s) {
     case SearchStrategy::DFS:
-      return 0;  // DFS schedules the back first; the front goes last
+      break;  // DFS schedules the back first; the front goes last
     case SearchStrategy::BFS:
-      return frontier.size() - 1;  // BFS drains the front; the back goes last
+      return takeAt(fr, fr.size() - 1);  // BFS drains the front
     case SearchStrategy::Random:
-      return static_cast<size_t>(rng.below(frontier.size()));
+      return takeAt(fr, static_cast<size_t>(rng.below(fr.size())));
     case SearchStrategy::Coverage: {
-      // Mirror of pickNext: least new coverage loses; oldest breaks ties.
+      // Inverse of takeNext: least new coverage loses; oldest breaks ties.
       size_t worst = 0;
-      for (size_t i = 1; i < frontier.size(); ++i) {
-        const Frontier& a = frontier[i];
-        const Frontier& b = frontier[worst];
+      for (size_t i = 1; i < fr.size(); ++i) {
+        const FrontierEntry& a = fr[i];
+        const FrontierEntry& b = fr[worst];
         if (a.newCovered < b.newCovered ||
             (a.newCovered == b.newCovered && a.order < b.order)) {
           worst = i;
         }
       }
-      return worst;
+      return takeAt(fr, worst);
     }
   }
-  return 0;
+  return takeAt(fr, 0);
+}
+
+FrontierEntry makeChild(MachineState&& succ, const FrontierEntry& parent,
+                        bool newPcHere, PathKey key, uint64_t order,
+                        uint64_t node) {
+  FrontierEntry f;
+  f.newCovered = parent.newCovered / 2 + (newPcHere ? 1 : 0);
+  f.order = order;
+  f.node = node;
+  f.key = std::move(key);
+  f.state = std::move(succ);
+  f.bytes = f.state.approxBytes();
+  fault::hit("alloc");  // frontier growth is the engine's allocation site
+  return f;
+}
+
+ExploreKernel::ExploreKernel(EngineServices& svc, const ExplorerConfig& cfg)
+    : svc(svc),
+      cfg(cfg),
+      ob(cfg.observer),
+      wantKeys(ob != nullptr && ob->wantsPathKeys()) {
+  if (telemetry::Telemetry* t = svc.telemetry) {
+    stepsCtr = &t->metrics().counter("explore.steps");
+    forksCtr = &t->metrics().counter("explore.forks");
+    dropsCtr = &t->metrics().counter("explore.drops");
+    mergesCtr = &t->metrics().counter("explore.merges");
+    pathsCtr = &t->metrics().counter("explore.paths");
+  }
+}
+
+void ExploreKernel::countStep(const StepOut& out) {
+  if (stepsCtr == nullptr) return;  // all or none are resolved
+  stepsCtr->add(out.retired);
+  if (out.successors.size() > 1) forksCtr->add(out.successors.size() - 1);
+  if (out.successors.empty()) dropsCtr->add();
+}
+
+bool ExploreKernel::fuseEligible() const {
+  return ob == nullptr && svc.telemetry == nullptr && !cfg.mergeStates &&
+         cfg.strategy == SearchStrategy::DFS && cfg.maxFrontier == 0 &&
+         cfg.memBudgetBytes == 0 && !fault::armed();
+}
+
+uint64_t ExploreKernel::fuel(uint64_t pathSteps, uint64_t totalSteps,
+                             uint64_t levelLimit) const {
+  uint64_t f = cfg.maxStepsPerPath - pathSteps;
+  if (levelLimit != UINT64_MAX) f = std::min(f, levelLimit - pathSteps);
+  // The parallel engine's global step count can overshoot the budget
+  // between its check and this call; one more instruction is the floor.
+  f = std::min(f, cfg.maxTotalSteps > totalSteps
+                     ? cfg.maxTotalSteps - totalSteps
+                     : uint64_t{1});
+  f = std::min<uint64_t>(f, 4096);
+  if (cfg.maxWallSeconds > 0.0) f = std::min<uint64_t>(f, 128);
+  return f;
+}
+
+PathResult ExploreKernel::finishPath(MachineState&& st, const PathKey& key,
+                                     uint64_t node) {
+  PathResult r;
+  r.status = st.status;
+  r.truncReason = st.truncReason;
+  r.finalPc = st.pc;
+  r.steps = st.steps;
+  r.forks = st.forks;
+  if (wantKeys) r.pathKey = keyToString(key);
+  if (pathsCtr) pathsCtr->add();
+  if (st.defect) {
+    r.defect = std::move(st.defect);
+    r.test = r.defect->witness;
+    // A concrete run (bound input stream) also reports what the program
+    // output before the fault; its output terms are all constants.
+    if (svc.inputStream != nullptr) {
+      for (const OutputRecord& o : st.outputs) {
+        r.outputs.push_back(o.term.constValue());
+      }
+    }
+  } else if (st.status != PathStatus::Truncated && svc.config.generateTests &&
+             svc.solver.check(st.pathCond) == smt::CheckResult::Sat) {
+    // One solve of the path condition gives the witness, the concrete
+    // exit code and the concrete output trace.
+    for (const InputRecord& in : st.inputs) {
+      r.test.inputs.push_back(
+          {in.name, in.width, svc.solver.modelValue(in.term)});
+    }
+    if (st.status == PathStatus::Exited && st.exitCode.valid()) {
+      r.exitCode = svc.solver.modelValue(st.exitCode);
+    }
+    for (const OutputRecord& o : st.outputs) {
+      r.outputs.push_back(svc.solver.modelValue(o.term));
+    }
+  }
+  if (ob) ob->onPathDone(node, r);
+  return r;
+}
+
+PathResult ExploreKernel::truncate(FrontierEntry& e, TruncReason why) {
+  e.state.status = PathStatus::Truncated;
+  e.state.truncReason = why;
+  return finishPath(std::move(e.state), e.key, e.node);
+}
+
+PathResult ExploreKernel::closeAtBudget(FrontierEntry& e) {
+  e.state.status = PathStatus::Budget;
+  const uint64_t cutPc = e.state.pc;
+  smt::SmtSolver::Stats pre;
+  if (ob) pre = svc.solver.stats();
+  PathResult r = finishPath(std::move(e.state), e.key, e.node);
+  if (ob) {
+    // Report the witness solve so per-site attributed queries still sum
+    // to the solver total.
+    const smt::SmtSolver::Stats post = svc.solver.stats();
+    if (post.queries != pre.queries) {
+      ob->onOffStepSolve(cutPc, post.queries - pre.queries,
+                         post.canon.terms - pre.canon.terms,
+                         post.canon.gates - pre.canon.gates,
+                         post.canon.conflicts - pre.canon.conflicts,
+                         post.preHitSeen - pre.preHitSeen,
+                         post.preMissSeen - pre.preMissSeen);
+    }
+  }
+  return r;
+}
+
+ExploreObserver::StepInfo ExploreKernel::stepInfo(
+    const FrontierEntry& cur, const StepOut& out,
+    const smt::SmtSolver::Stats& before, const smt::SmtSolver::Stats& after,
+    const smt::SmtSolver::Stats& runBase, uint64_t runCacheHits) const {
+  ExploreObserver::StepInfo si;
+  si.node = cur.node;
+  si.pc = cur.state.pc;
+  si.numSuccessors = out.successors.size();
+  si.stepSolverQueries = after.queries - before.queries;
+  si.stepSolverMicros = after.totalMicros - before.totalMicros;
+  si.runSolverQueries = after.queries - runBase.queries;
+  si.runSolverMicros = after.totalMicros - runBase.totalMicros;
+  si.depth = cur.state.forks;
+  si.stepRtlTicks = out.rtlTicks;
+  si.stepCanonTerms = after.canon.terms - before.canon.terms;
+  si.stepCanonGates = after.canon.gates - before.canon.gates;
+  si.stepCanonConflicts = after.canon.conflicts - before.canon.conflicts;
+  si.runCacheHits = runCacheHits;
+  si.stepPrefilterHits = after.preHitSeen - before.preHitSeen;
+  si.stepPrefilterMisses = after.preMissSeen - before.preMissSeen;
+  if (wantKeys) si.pathKey = keyToString(cur.key);
+  si.pathSteps = cur.state.steps;  // pre-step count (cur is unstepped)
+  return si;
+}
+
+Explorer::Explorer(Executor& exec, EngineServices& services,
+                   ExplorerConfig config)
+    : exec_(exec), svc_(services), config_(config), kernel_(svc_, config_) {
+  if (telemetry::Telemetry* t = svc_.telemetry) {
+    frontierPeak_ = &t->metrics().gauge("explore.frontier_peak");
+  }
 }
 
 namespace {
@@ -162,55 +321,12 @@ bool Explorer::tryMerge(MachineState& host, const MachineState& incoming) {
   return true;
 }
 
-PathResult Explorer::finishPath(MachineState&& st, uint64_t node,
-                                std::string pathKey) {
-  PathResult r;
-  r.status = st.status;
-  r.truncReason = st.truncReason;
-  r.finalPc = st.pc;
-  r.steps = st.steps;
-  r.forks = st.forks;
-  r.pathKey = std::move(pathKey);
-  if (pathsCtr_) pathsCtr_->add();
-  if (st.defect) {
-    r.defect = std::move(st.defect);
-    r.test = r.defect->witness;
-    // A concrete run (bound input stream) also reports what the program
-    // output before the fault; its output terms are all constants.
-    if (svc_.inputStream != nullptr) {
-      for (const OutputRecord& o : st.outputs) {
-        r.outputs.push_back(o.term.constValue());
-      }
-    }
-    if (config_.observer) config_.observer->onPathDone(node, r);
-    return r;
-  }
-  // Solve the path condition once for the witness, the concrete exit code
-  // and the concrete output trace. Truncated paths skip this: the
-  // governor closed them precisely because a budget ran out, so no new
-  // solver work is spent on them.
-  if (st.status != PathStatus::Truncated && svc_.config.generateTests &&
-      svc_.solver.check(st.pathCond) == smt::CheckResult::Sat) {
-    for (const InputRecord& in : st.inputs) {
-      r.test.inputs.push_back({in.name, in.width, svc_.solver.modelValue(in.term)});
-    }
-    if (st.status == PathStatus::Exited && st.exitCode.valid()) {
-      r.exitCode = svc_.solver.modelValue(st.exitCode);
-    }
-    for (const OutputRecord& o : st.outputs) {
-      r.outputs.push_back(svc_.solver.modelValue(o.term));
-    }
-  }
-  if (config_.observer) config_.observer->onPathDone(node, r);
-  return r;
-}
-
 ExploreSummary Explorer::run() {
   // Wall time runs on the injectable telemetry clock when attached, the
   // system steady clock otherwise (so the budget stays testable without
   // sleeping).
   telemetry::Clock& clk =
-      tel_ ? tel_->clock() : telemetry::Clock::system();
+      svc_.telemetry ? svc_.telemetry->clock() : telemetry::Clock::system();
   const uint64_t startUs = clk.nowMicros();
   // Make maxWallSeconds a real bound: hand the solver the same absolute
   // deadline, so one slow query aborts (Unknown) at the budget instead of
@@ -224,9 +340,6 @@ ExploreSummary Explorer::run() {
   Rng rng(config_.rngSeed);
   covered_.clear();
   ExploreObserver* ob = config_.observer;
-  // Maintain dotted structural path keys only on request: each fork costs
-  // one string per successor, which un-keyed observers shouldn't pay.
-  const bool wantKeys = ob != nullptr && ob->wantsPathKeys();
   // Path-forest node ids: 0 is the root; forks mint fresh ids, straight-
   // line steps keep theirs. Only meaningful (and only maintained past the
   // counter) when an observer is attached.
@@ -236,9 +349,9 @@ ExploreSummary Explorer::run() {
   const smt::SmtSolver::Stats solverBase = svc_.solver.stats();
   const uint64_t cacheHitsBase = svc_.solver.cacheHits();
 
-  std::vector<Frontier> frontier;
+  std::vector<FrontierEntry> frontier;
   uint64_t orderCounter = 0;
-  size_t frontierBytes = 0;  // sum of Frontier::bytes (governor tally)
+  size_t frontierBytes = 0;  // sum of FrontierEntry::bytes (governor tally)
   // Completed (non-truncated) paths; the maxPaths unit. Governor
   // evictions do not count against the completed-path budget.
   uint64_t completed = 0;
@@ -247,33 +360,19 @@ ExploreSummary Explorer::run() {
 
   // Close one frontier state as Truncated{why} (governor eviction).
   auto evict = [&](TruncReason why) {
-    const size_t vi = pickEvict(frontier, rng);
-    Frontier ev = std::move(frontier[vi]);
-    frontier.erase(frontier.begin() + static_cast<long>(vi));
+    FrontierEntry ev = takeVictim(config_.strategy, frontier, rng);
     frontierBytes -= ev.bytes;
-    ev.state.status = PathStatus::Truncated;
-    ev.state.truncReason = why;
-    summary.paths.push_back(
-        finishPath(std::move(ev.state), ev.node, std::move(ev.key)));
+    summary.paths.push_back(kernel_.truncate(ev, why));
   };
 
-  // Superblock fusing (Executor::stepMany with fuel > 1) is offered only
-  // when no machinery can observe intermediate instructions: no observer,
-  // no telemetry/tracing, no state merging (needs per-pc frontier hits),
-  // no governor budgets (their eviction points are step-granular), no
-  // fault injection (fault sites must fire at their exact step), and DFS
-  // order (the fused stretch is exactly the sequence DFS would pop).
-  const bool fuseOk = ob == nullptr && tel_ == nullptr &&
-                      !config_.mergeStates &&
-                      config_.strategy == SearchStrategy::DFS &&
-                      config_.maxFrontier == 0 &&
-                      config_.memBudgetBytes == 0 && !fault::armed();
+  const bool fuseOk = kernel_.fuseEligible();
 
-  frontier.push_back(Frontier{exec_.initialState(), orderCounter++, 0,
-                              nodeCounter++, 0, {}});
-  frontier.back().bytes = frontier.back().state.approxBytes();
-  frontierBytes = frontier.back().bytes;
-  if (ob) ob->onRoot(frontier.back().node, frontier.back().state);
+  FrontierEntry& root = frontier.emplace_back();
+  root.state = exec_.initialState();
+  root.order = orderCounter++;
+  root.node = nodeCounter++;
+  root.bytes = frontierBytes = root.state.approxBytes();
+  if (ob) ob->onRoot(root.node, root.state);
 
   while (!frontier.empty()) {
     if (support::stopRequested()) {
@@ -298,32 +397,12 @@ ExploreSummary Explorer::run() {
       break;
     }
 
-    const size_t idx = pickNext(frontier, rng);
-    Frontier cur = std::move(frontier[idx]);
-    frontier.erase(frontier.begin() + static_cast<long>(idx));
+    FrontierEntry cur = takeNext(config_.strategy, frontier, rng);
     frontierBytes -= cur.bytes;
 
     if (cur.state.steps >= config_.maxStepsPerPath) {
-      cur.state.status = PathStatus::Budget;
-      const uint64_t cutPc = cur.state.pc;
-      smt::SmtSolver::Stats preClose;
-      if (ob) preClose = svc_.solver.stats();
-      summary.paths.push_back(
-          finishPath(std::move(cur.state), cur.node, std::move(cur.key)));
+      summary.paths.push_back(kernel_.closeAtBudget(cur));
       ++completed;
-      if (ob) {
-        // The witness solve above ran outside any step window; report it
-        // so per-site attributed queries still sum to the solver total.
-        const smt::SmtSolver::Stats post = svc_.solver.stats();
-        if (post.queries != preClose.queries) {
-          ob->onOffStepSolve(cutPc, post.queries - preClose.queries,
-                             post.canon.terms - preClose.canon.terms,
-                             post.canon.gates - preClose.canon.gates,
-                             post.canon.conflicts - preClose.canon.conflicts,
-                             post.preHitSeen - preClose.preHitSeen,
-                             post.preMissSeen - preClose.preMissSeen);
-        }
-      }
       continue;
     }
 
@@ -335,73 +414,49 @@ ExploreSummary Explorer::run() {
     }
     StepOut out;
     if (fuseOk) {
-      // Fuel caps reproduce every stop boundary a per-instruction loop
-      // would hit: per-path budget, total-step budget, and (bounded slab
-      // size) the wall-clock check cadence.
-      uint64_t fuel = config_.maxStepsPerPath - cur.state.steps;
-      fuel = std::min(fuel, config_.maxTotalSteps - summary.totalSteps);
-      fuel = std::min<uint64_t>(fuel, 4096);
-      if (config_.maxWallSeconds > 0.0) fuel = std::min<uint64_t>(fuel, 128);
-      exec_.stepMany(cur.state, out, fuel);
+      exec_.stepMany(cur.state, out,
+                     kernel_.fuel(cur.state.steps, summary.totalSteps));
     } else {
       exec_.step(cur.state, out);
     }
     summary.totalSteps += out.retired;
-    if (stepsCtr_) stepsCtr_->add(out.retired);
+    kernel_.countStep(out);
     const bool newPcHere = covered_.insert(cur.state.pc).second;
     for (const uint64_t fpc : out.fusedPcs) covered_.insert(fpc);
 
-    if (out.successors.size() > 1) {
-      const uint64_t forks = out.successors.size() - 1;
-      summary.totalForks += forks;
-      if (forksCtr_) forksCtr_->add(forks);
-    }
+    const bool forked = out.successors.size() > 1;
+    if (forked) summary.totalForks += out.successors.size() - 1;
     if (out.successors.empty()) {
       ++summary.statesDropped;
-      if (dropsCtr_) dropsCtr_->add();
       if (ob) ob->onDrop(cur.node, cur.state.pc);
     }
-
-    const bool forked = out.successors.size() > 1;
     bool sawDefect = false;
     for (size_t si = 0; si < out.successors.size(); ++si) {
       MachineState& succ = out.successors[si];
       const uint64_t childNode = forked ? nodeCounter++ : cur.node;
-      // Structural key: forks append the successor index; straight-line
-      // steps inherit (matches core/pexplorer's PathKey discipline).
-      std::string childKey;
-      if (wantKeys) {
-        childKey = cur.key;
-        if (forked) {
-          if (!childKey.empty()) childKey += '.';
-          childKey += std::to_string(si);
-        }
-      }
+      // Structural keys only on request: each fork costs one key per
+      // successor, which un-keyed observers shouldn't pay.
+      PathKey key =
+          kernel_.wantKeys ? childKey(cur.key, forked, si) : PathKey{};
       if (ob && forked) ob->onChild(cur.node, childNode, succ, condBefore);
       if (succ.status == PathStatus::Running) {
         if (config_.mergeStates) {
           bool merged = false;
-          for (Frontier& f : frontier) {
+          for (FrontierEntry& f : frontier) {
             if (f.state.pc == succ.pc && tryMerge(f.state, succ)) {
               merged = true;
               ++summary.statesMerged;
-              if (mergesCtr_) mergesCtr_->add();
+              if (kernel_.mergesCtr) kernel_.mergesCtr->add();
               if (ob) ob->onMerge(f.node, childNode, succ.pc);
               break;
             }
           }
           if (merged) continue;
         }
-        Frontier f;
-        f.newCovered = cur.newCovered / 2 + (newPcHere ? 1 : 0);
-        f.order = orderCounter++;
-        f.node = childNode;
-        f.key = std::move(childKey);
-        f.state = std::move(succ);
-        f.bytes = f.state.approxBytes();
-        fault::hit("alloc");  // frontier growth is the engine's allocation site
-        frontierBytes += f.bytes;
-        frontier.push_back(std::move(f));
+        frontier.push_back(makeChild(std::move(succ), cur, newPcHere,
+                                     std::move(key), orderCounter++,
+                                     childNode));
+        frontierBytes += frontier.back().bytes;
         if (frontierPeak_) {
           frontierPeak_->setMax(static_cast<int64_t>(frontier.size()));
         }
@@ -412,7 +467,7 @@ ExploreSummary Explorer::run() {
       } else {
         sawDefect = sawDefect || succ.defect.has_value();
         summary.paths.push_back(
-            finishPath(std::move(succ), childNode, std::move(childKey)));
+            kernel_.finishPath(std::move(succ), key, childNode));
         ++completed;
       }
     }
@@ -431,30 +486,13 @@ ExploreSummary Explorer::run() {
       }
     }
     if (ob) {
-      const smt::SmtSolver::Stats after = svc_.solver.stats();
-      ExploreObserver::StepInfo si;
-      si.node = cur.node;
-      si.pc = cur.state.pc;
-      si.numSuccessors = out.successors.size();
+      ExploreObserver::StepInfo si = kernel_.stepInfo(
+          cur, out, solverBefore, svc_.solver.stats(), solverBase,
+          svc_.solver.cacheHits() - cacheHitsBase);
       si.frontierSize = frontier.size();
       si.totalSteps = summary.totalSteps;
       si.pathsDone = summary.paths.size();
       si.coveredPcs = covered_.size();
-      si.stepSolverQueries = after.queries - solverBefore.queries;
-      si.stepSolverMicros = after.totalMicros - solverBefore.totalMicros;
-      si.runSolverQueries = after.queries - solverBase.queries;
-      si.runSolverMicros = after.totalMicros - solverBase.totalMicros;
-      si.depth = cur.state.forks;
-      si.stepRtlTicks = out.rtlTicks;
-      si.stepCanonTerms = after.canon.terms - solverBefore.canon.terms;
-      si.stepCanonGates = after.canon.gates - solverBefore.canon.gates;
-      si.stepCanonConflicts =
-          after.canon.conflicts - solverBefore.canon.conflicts;
-      si.runCacheHits = svc_.solver.cacheHits() - cacheHitsBase;
-      si.stepPrefilterHits = after.preHitSeen - solverBefore.preHitSeen;
-      si.stepPrefilterMisses = after.preMissSeen - solverBefore.preMissSeen;
-      if (wantKeys) si.pathKey = cur.key;
-      si.pathSteps = cur.state.steps;  // pre-step count (cur is unstepped)
       si.frontierBytes = frontierBytes;
       ob->onStepEnd(si);
     }
@@ -468,17 +506,12 @@ ExploreSummary Explorer::run() {
   // Close out *every* remaining frontier state as Truncated{closeReason}
   // so truncated + completed paths account for each forked state:
   //   1 + totalForks == paths.size() + statesDropped + statesMerged.
-  if (!frontier.empty()) {
-    // A non-empty frontier here means a break fired, and every break sets
-    // closeReason before breaking.
-    for (Frontier& f : frontier) {
-      f.state.status = PathStatus::Truncated;
-      f.state.truncReason = closeReason;
-      summary.paths.push_back(
-          finishPath(std::move(f.state), f.node, std::move(f.key)));
-    }
-    frontier.clear();
+  // A non-empty frontier here means a break fired, and every break sets
+  // closeReason before breaking.
+  for (FrontierEntry& f : frontier) {
+    summary.paths.push_back(kernel_.truncate(f, closeReason));
   }
+  frontier.clear();
   for (const PathResult& p : summary.paths) {
     if (p.status == PathStatus::Truncated) {
       ++summary.statesTruncated;

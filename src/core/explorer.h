@@ -105,33 +105,117 @@ struct ExploreSummary {
   }
 };
 
+// ---- the exploration kernel (docs/parallelism.md) -------------------------
+// The per-state rules both engines apply: the sequential Explorer below and
+// the workers of the parallel engine (core/pexplorer.cpp). Each engine keeps
+// only its scheduler around them.
+
+/// Approximate resident bytes per hash-consed term (node + bucket + ref
+/// bookkeeping); the governor's charge for a TermManager pool.
+constexpr size_t kBytesPerTerm = 48;
+
+/// Structural address of a state in the fork tree: the successor indices
+/// taken from the root. Worker- and schedule-independent; lexicographic
+/// order over keys is DFS preorder with children in fork-index order.
+using PathKey = std::u32string;
+
+/// Dotted-decimal form of a key: root = "", {1,0} = "1.0".
+std::string keyToString(const PathKey& k);
+
+/// `parent` extended by successor `i` when the step forked; straight-line
+/// steps keep their key.
+PathKey childKey(const PathKey& parent, bool forked, size_t i);
+
+struct FrontierEntry {
+  MachineState state;
+  /// Structural key; the sequential engine fills it only when the
+  /// observer wantsPathKeys().
+  PathKey key;
+  uint64_t order = 0;       // creation sequence number (strategy tie-break)
+  uint64_t newCovered = 0;  // decaying new-pc credit (Coverage strategy)
+  uint64_t node = 0;        // sequential path-forest node id (0 in parallel)
+  size_t bytes = 0;         // approxBytes() at push time (governor tally)
+};
+
+/// Remove and return the entry strategy `s` schedules next.
+FrontierEntry takeNext(SearchStrategy s, std::vector<FrontierEntry>& fr,
+                       Rng& rng);
+/// Remove and return the eviction victim: the entry `s` would schedule
+/// last.
+FrontierEntry takeVictim(SearchStrategy s, std::vector<FrontierEntry>& fr,
+                         Rng& rng);
+
+/// Frontier entry for a Running successor of `parent`: decays the parent's
+/// coverage credit, measures the state and hits the "alloc" fault site.
+FrontierEntry makeChild(MachineState&& succ, const FrontierEntry& parent,
+                        bool newPcHere, PathKey key, uint64_t order,
+                        uint64_t node);
+
+/// Per-solver-context rules: one for the sequential engine, one per
+/// parallel worker. Resolves the explorer metrics of `svc.telemetry`.
+struct ExploreKernel {
+  ExploreKernel(EngineServices& svc, const ExplorerConfig& cfg);
+
+  EngineServices& svc;
+  const ExplorerConfig& cfg;
+  ExploreObserver* const ob;
+  /// Serialise structural keys into PathResult / StepInfo.
+  const bool wantKeys;
+  telemetry::Counter* stepsCtr = nullptr;
+  telemetry::Counter* forksCtr = nullptr;
+  telemetry::Counter* dropsCtr = nullptr;
+  telemetry::Counter* mergesCtr = nullptr;
+  telemetry::Counter* pathsCtr = nullptr;
+
+  /// Count one scheduling slot's instructions, forks and drop.
+  void countStep(const StepOut& out);
+
+  /// Superblock fusing (stepMany with fuel > 1) is offered only when
+  /// nothing can observe intermediate instructions: no observer, no
+  /// telemetry, no state merging (needs per-pc frontier hits), no governor
+  /// budgets (their eviction points are step-granular), no fault injection
+  /// (fault sites fire at their exact step), and DFS order (the fused
+  /// stretch is exactly the sequence DFS would pop).
+  bool fuseEligible() const;
+  /// Fuel for one fused call on a state with `pathSteps` steps: reproduces
+  /// every stop boundary of a per-instruction loop — per-path budget,
+  /// total-step budget (`totalSteps` so far), the parallel engine's
+  /// checkpoint level, and a bounded slab for the wall-clock cadence.
+  uint64_t fuel(uint64_t pathSteps, uint64_t totalSteps,
+                uint64_t levelLimit = UINT64_MAX) const;
+
+  /// Terminal record of a state leaving the frontier (moves st): the
+  /// PathResult fields, the witness solve (skipped for Truncated paths:
+  /// the governor closed them because a budget ran out), exit code,
+  /// outputs and the defect branch; reports onPathDone(node).
+  PathResult finishPath(MachineState&& st, const PathKey& key, uint64_t node);
+  /// Close `e` as Truncated{why} (governor eviction or stop).
+  PathResult truncate(FrontierEntry& e, TruncReason why);
+  /// Close `e` at the per-path step budget. Its witness solve runs outside
+  /// any step window, so it is reported as onOffStepSolve at e's pc.
+  PathResult closeAtBudget(FrontierEntry& e);
+
+  /// StepInfo for stepping `cur` into `out`, with the solver deltas since
+  /// `before` (step) and `runBase` (run). The engine fills the frontier,
+  /// step, path and coverage totals.
+  ExploreObserver::StepInfo stepInfo(const FrontierEntry& cur,
+                                     const StepOut& out,
+                                     const smt::SmtSolver::Stats& before,
+                                     const smt::SmtSolver::Stats& after,
+                                     const smt::SmtSolver::Stats& runBase,
+                                     uint64_t runCacheHits) const;
+};
+
 class Explorer {
  public:
   Explorer(Executor& exec, EngineServices& services, ExplorerConfig config);
+  Explorer(const Explorer&) = delete;  // kernel_ refers to config_
 
   /// Run exploration from the executor's initial state to exhaustion or
   /// budget. Deterministic for a fixed config.
   ExploreSummary run();
 
  private:
-  struct Frontier {
-    MachineState state;
-    uint64_t order = 0;     // creation sequence number (tie-break)
-    uint64_t newCovered = 0;  // pcs first covered by this state's last step
-    uint64_t node = 0;        // path-forest node id (core/observer.h)
-    size_t bytes = 0;         // approxBytes() at push time (governor tally)
-    /// Dotted structural path key ("" = root, then fork successor indices
-    /// joined by '.'); maintained only when the attached observer returns
-    /// wantsPathKeys() — empty otherwise.
-    std::string key;
-  };
-
-  size_t pickNext(const std::vector<Frontier>& frontier, Rng& rng) const;
-  /// Eviction victim for the governor: the state the strategy would
-  /// schedule *last* (mirror image of pickNext).
-  size_t pickEvict(const std::vector<Frontier>& frontier, Rng& rng) const;
-  PathResult finishPath(MachineState&& st, uint64_t node,
-                        std::string pathKey = {});
   /// Try to merge `incoming` into `host` (both Running, same pc).
   /// Returns false (leaving both untouched) when the states' traces are
   /// incompatible.
@@ -140,15 +224,8 @@ class Explorer {
   Executor& exec_;
   EngineServices& svc_;
   ExplorerConfig config_;
+  ExploreKernel kernel_;
   std::set<uint64_t> covered_;
-
-  // Telemetry handles, resolved once at construction (null when disabled).
-  telemetry::Telemetry* tel_ = nullptr;
-  telemetry::Counter* stepsCtr_ = nullptr;
-  telemetry::Counter* forksCtr_ = nullptr;
-  telemetry::Counter* dropsCtr_ = nullptr;
-  telemetry::Counter* mergesCtr_ = nullptr;
-  telemetry::Counter* pathsCtr_ = nullptr;
   telemetry::Gauge* frontierPeak_ = nullptr;
 };
 

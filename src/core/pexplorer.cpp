@@ -26,26 +26,6 @@
 namespace adlsym::core {
 namespace {
 
-// Mirror of the sequential explorer's term accounting unit (explorer.cpp).
-constexpr size_t kBytesPerTerm = 48;
-
-// Structural address of a state in the fork tree: the sequence of
-// successor indices taken from the root. Worker- and schedule-independent,
-// and lexicographic order over keys is exactly DFS preorder with children
-// in fork-index order — which is how the merge assigns dense node ids.
-using PathKey = std::u32string;
-
-/// Dotted-decimal serialization of a structural key, matching the
-/// sequential explorer's string keys exactly: root = "", {1,0} = "1.0".
-std::string keyToString(const PathKey& k) {
-  std::string out;
-  for (size_t i = 0; i < k.size(); ++i) {
-    if (i != 0) out += '.';
-    out += std::to_string(static_cast<uint32_t>(k[i]));
-  }
-  return out;
-}
-
 /// Inverse of keyToString, for checkpoint restore. Throws InputError on
 /// anything keyToString would not produce.
 PathKey keyFromString(const std::string& s) {
@@ -65,14 +45,6 @@ PathKey keyFromString(const std::string& s) {
     pos = dot + 1;
   }
 }
-
-struct Entry {
-  MachineState state;
-  PathKey key;
-  uint64_t order = 0;       // worker-local creation order (strategy ties)
-  uint64_t newCovered = 0;  // decaying new-pc credit (Coverage strategy)
-  size_t bytes = 0;         // approxBytes at enqueue (governor tally)
-};
 
 /// Fold one worker's solver snapshot into the running aggregate — the
 /// barrier merge and the checkpoint writer must sum identically.
@@ -180,50 +152,6 @@ smt::SolverTelemetry readSolverCkpt(const json::Value& v) {
   return t;
 }
 
-size_t pickNextIdx(SearchStrategy s, const std::vector<Entry>& fr, Rng& rng) {
-  switch (s) {
-    case SearchStrategy::DFS: return fr.size() - 1;
-    case SearchStrategy::BFS: return 0;
-    case SearchStrategy::Random:
-      return static_cast<size_t>(rng.below(fr.size()));
-    case SearchStrategy::Coverage: {
-      size_t best = 0;
-      for (size_t i = 1; i < fr.size(); ++i) {
-        const Entry& a = fr[i];
-        const Entry& b = fr[best];
-        if (a.newCovered > b.newCovered ||
-            (a.newCovered == b.newCovered && a.order > b.order)) {
-          best = i;
-        }
-      }
-      return best;
-    }
-  }
-  return fr.size() - 1;
-}
-
-size_t pickEvictIdx(SearchStrategy s, const std::vector<Entry>& fr, Rng& rng) {
-  switch (s) {
-    case SearchStrategy::DFS: return 0;
-    case SearchStrategy::BFS: return fr.size() - 1;
-    case SearchStrategy::Random:
-      return static_cast<size_t>(rng.below(fr.size()));
-    case SearchStrategy::Coverage: {
-      size_t worst = 0;
-      for (size_t i = 1; i < fr.size(); ++i) {
-        const Entry& a = fr[i];
-        const Entry& b = fr[worst];
-        if (a.newCovered < b.newCovered ||
-            (a.newCovered == b.newCovered && a.order < b.order)) {
-          worst = i;
-        }
-      }
-      return worst;
-    }
-  }
-  return 0;
-}
-
 // Global per-node record, guarded by Engine::recMu. Creation fields are
 // written when the node is minted (at its parent's fork, or for the root
 // at startup); terminal fields when the node leaves a frontier.
@@ -252,15 +180,16 @@ struct Worker {
   Rng rng;
   std::unique_ptr<EngineServices> svc;
   std::unique_ptr<Executor> exec;
+  std::optional<ExploreKernel> kernel;  // the shared per-state rules
 
-  std::vector<Entry> frontier;
+  std::vector<FrontierEntry> frontier;
   // Successors that reached the checkpoint level (Engine::levelLimit):
   // held out of the frontier until the level barrier writes a checkpoint
   // and requeues them. Still counted in the global frontier gauges.
-  std::vector<Entry> paused;
+  std::vector<FrontierEntry> paused;
   // Filled by a victim while this worker is parked in acquireWork (both
   // inbox and handed are only touched under Engine::mu).
-  std::vector<Entry> inbox;
+  std::vector<FrontierEntry> inbox;
   bool handed = false;
 
   uint64_t orderCounter = 0;
@@ -274,36 +203,29 @@ struct Worker {
   // pool size for --mem-budget-mb without touching a foreign TermManager.
   std::atomic<uint64_t> poolTerms{0};
 
-  telemetry::Counter* stepsCtr = nullptr;
-  telemetry::Counter* forksCtr = nullptr;
-  telemetry::Counter* dropsCtr = nullptr;
-  telemetry::Counter* mergesCtr = nullptr;
-  telemetry::Counter* pathsCtr = nullptr;
-
   std::thread thread;
+
+  // Move `from` into the frontier with fresh creation orders.
+  void requeue(std::vector<FrontierEntry>& from) {
+    for (FrontierEntry& e : from) {
+      e.order = orderCounter++;
+      frontier.push_back(std::move(e));
+    }
+    from.clear();
+  }
 };
 
 struct Engine {
   Engine(const ParallelConfig& cfg,
          std::vector<std::unique_ptr<Worker>>& workers)
-      : cfg(cfg),
-        base(cfg.base),
-        workers(workers),
-        ob(cfg.base.observer),
-        wantKeys(ob != nullptr && ob->wantsPathKeys()) {}
+      : cfg(cfg), base(cfg.base), workers(workers) {}
 
   const ParallelConfig& cfg;
   const ExplorerConfig& base;
   std::vector<std::unique_ptr<Worker>>& workers;
-  ExploreObserver* ob;
-  // Serialize structural keys into StepInfo/PathResult for the event
-  // stream (resolved once, before workers start).
-  const bool wantKeys;
-  // Offer superblock fusing (stepMany, fuel > 1) to the executors. Set
-  // once before workers start; requires that nothing can observe
-  // intermediate instructions (no observer, no per-worker telemetry, no
-  // governor budgets, no fault injection, DFS order). Checkpoint level
-  // barriers stay exact via the per-call fuel cap.
+  // Offer superblock fusing (ExploreKernel::fuseEligible) to the
+  // executors. Set once before workers start; checkpoint level barriers
+  // stay exact via the per-call fuel cap.
   bool fuseOk = false;
 
   // ---- pool coordination (mu) -----------------------------------------
@@ -368,37 +290,9 @@ struct Engine {
     cv.notify_all();
   }
 
-  // Mirror of Explorer::finishPath: resolve the terminal record,
-  // optionally solve the path condition for a witness, and file the
-  // result under the node's key.
-  void finishPath(Worker& w, MachineState&& st, const PathKey& key) {
-    PathResult r;
-    r.status = st.status;
-    r.truncReason = st.truncReason;
-    r.finalPc = st.pc;
-    r.steps = st.steps;
-    r.forks = st.forks;
-    if (wantKeys) r.pathKey = keyToString(key);
-    if (w.pathsCtr) w.pathsCtr->add();
-    if (st.defect) {
-      r.defect = std::move(st.defect);
-      r.test = r.defect->witness;
-    } else if (st.status != PathStatus::Truncated &&
-               w.svc->config.generateTests &&
-               w.solver.check(st.pathCond) == smt::CheckResult::Sat) {
-      for (const InputRecord& in : st.inputs) {
-        r.test.inputs.push_back(
-            {in.name, in.width, w.solver.modelValue(in.term)});
-      }
-      if (st.status == PathStatus::Exited && st.exitCode.valid()) {
-        r.exitCode = w.solver.modelValue(st.exitCode);
-      }
-      for (const OutputRecord& o : st.outputs) {
-        r.outputs.push_back(w.solver.modelValue(o.term));
-      }
-    }
+  // File a terminal record under the node's key.
+  void file(const PathKey& key, PathResult&& r) {
     gPathsDone.fetch_add(1, std::memory_order_relaxed);
-    if (ob) ob->onPathDone(0, r);
     std::lock_guard<std::mutex> lk(recMu);
     recs[key].result = std::move(r);
   }
@@ -407,24 +301,18 @@ struct Engine {
   // eviction). Returns false when w has nothing left to evict.
   bool evictLocal(Worker& w, TruncReason why) {
     if (w.frontier.empty()) return false;
-    const size_t vi = pickEvictIdx(base.strategy, w.frontier, w.rng);
-    Entry ev = std::move(w.frontier[vi]);
-    w.frontier.erase(w.frontier.begin() + static_cast<long>(vi));
+    FrontierEntry ev = takeVictim(base.strategy, w.frontier, w.rng);
     gFrontier.fetch_sub(1, std::memory_order_relaxed);
     gFrontierBytes.fetch_sub(ev.bytes, std::memory_order_relaxed);
-    ev.state.status = PathStatus::Truncated;
-    ev.state.truncReason = why;
-    finishPath(w, std::move(ev.state), ev.key);
+    file(ev.key, w.kernel->truncate(ev, why));
     return true;
   }
 
   void closeFrontier(Worker& w, TruncReason why) {
-    for (Entry& e : w.frontier) {
+    for (FrontierEntry& e : w.frontier) {
       gFrontier.fetch_sub(1, std::memory_order_relaxed);
       gFrontierBytes.fetch_sub(e.bytes, std::memory_order_relaxed);
-      e.state.status = PathStatus::Truncated;
-      e.state.truncReason = why;
-      finishPath(w, std::move(e.state), e.key);
+      file(e.key, w.kernel->truncate(e, why));
     }
     w.frontier.clear();
   }
@@ -435,11 +323,11 @@ struct Engine {
   // are quiescent. Raw re-interning preserves term structure exactly;
   // variables re-cons by (name, width) — downstream queries canonicalize
   // by name anyway, so solving is unaffected by the move.
-  Entry migrate(Entry&& e, Worker& from, Worker& to) {
+  FrontierEntry migrate(FrontierEntry&& e, Worker& from, Worker& to) {
     std::unordered_map<smt::TermId, smt::TermId> memo;
     auto imp = [&](smt::TermRef t) { return to.tm.import(t, memo); };
     const MachineState& s = e.state;
-    Entry ne;
+    FrontierEntry ne;
     ne.key = std::move(e.key);
     ne.newCovered = e.newCovered;
     ne.bytes = e.bytes;
@@ -494,9 +382,7 @@ struct Engine {
     // cannot observe idle == jobs and falsely declare the pool finished.
     --idle;
     Worker& thief = *workers[ti];
-    const size_t vi = pickEvictIdx(base.strategy, w.frontier, w.rng);
-    Entry ev = std::move(w.frontier[vi]);
-    w.frontier.erase(w.frontier.begin() + static_cast<long>(vi));
+    FrontierEntry ev = takeVictim(base.strategy, w.frontier, w.rng);
     thief.inbox.push_back(migrate(std::move(ev), w, thief));
     thief.handed = true;
     cv.notify_all();
@@ -504,11 +390,7 @@ struct Engine {
 
   void drainInboxLocked(Worker& w) {
     w.steals += w.inbox.size();
-    for (Entry& e : w.inbox) {
-      e.order = w.orderCounter++;
-      w.frontier.push_back(std::move(e));
-    }
-    w.inbox.clear();
+    w.requeue(w.inbox);
     w.handed = false;
   }
 
@@ -583,11 +465,11 @@ struct Engine {
     // sorted by structural key. The term table deduplicates across worker
     // pools (scratch-pool slots), so the bytes are independent of which
     // worker held which state.
-    std::vector<std::pair<const Entry*, Worker*>> live;
+    std::vector<std::pair<const FrontierEntry*, Worker*>> live;
     for (const auto& wp : workers) {
-      for (const Entry& e : wp->frontier) live.push_back({&e, wp.get()});
-      for (const Entry& e : wp->paused) live.push_back({&e, wp.get()});
-      for (const Entry& e : wp->inbox) live.push_back({&e, wp.get()});
+      for (const auto& e : wp->frontier) live.push_back({&e, wp.get()});
+      for (const auto& e : wp->paused) live.push_back({&e, wp.get()});
+      for (const auto& e : wp->inbox) live.push_back({&e, wp.get()});
     }
     std::sort(live.begin(), live.end(), [](const auto& a, const auto& b) {
       return a.first->key < b.first->key;
@@ -698,14 +580,8 @@ struct Engine {
       std::lock_guard<std::mutex> lk(mu);
       if (!w.inbox.empty()) drainInboxLocked(w);
     }
-    if (!w.paused.empty()) {
-      pausedTotal.fetch_sub(w.paused.size(), std::memory_order_relaxed);
-      for (Entry& e : w.paused) {
-        e.order = w.orderCounter++;
-        w.frontier.push_back(std::move(e));
-      }
-      w.paused.clear();
-    }
+    pausedTotal.fetch_sub(w.paused.size(), std::memory_order_relaxed);
+    w.requeue(w.paused);
     closeFrontier(w, why);
   }
 
@@ -732,13 +608,7 @@ struct Engine {
         if (!cfg.checkpointPath.empty()) {
           writeCheckpointQuiesced(false, "", 0.0);
         }
-        for (auto& wp : workers) {
-          for (Entry& e : wp->paused) {
-            e.order = wp->orderCounter++;
-            wp->frontier.push_back(std::move(e));
-          }
-          wp->paused.clear();
-        }
+        for (auto& wp : workers) wp->requeue(wp->paused);
         pausedTotal.store(0, std::memory_order_relaxed);
         waiting.clear();
         idle = 0;
@@ -776,62 +646,37 @@ struct Engine {
     return false;
   }
 
-  // One scheduling slot: mirror of the sequential loop body.
+  // One scheduling slot: the sequential loop body on this worker's
+  // frontier, with records filed under structural keys.
   void step(Worker& w) {
-    const size_t idx = pickNextIdx(base.strategy, w.frontier, w.rng);
-    Entry cur = std::move(w.frontier[idx]);
-    w.frontier.erase(w.frontier.begin() + static_cast<long>(idx));
+    ExploreKernel& k = *w.kernel;
+    FrontierEntry cur = takeNext(base.strategy, w.frontier, w.rng);
     gFrontier.fetch_sub(1, std::memory_order_relaxed);
     gFrontierBytes.fetch_sub(cur.bytes, std::memory_order_relaxed);
 
     if (cur.state.steps >= base.maxStepsPerPath) {
-      cur.state.status = PathStatus::Budget;
-      const uint64_t cutPc = cur.state.pc;
-      smt::SmtSolver::Stats preClose;
-      if (ob) preClose = w.solver.stats();
-      finishPath(w, std::move(cur.state), cur.key);
+      file(cur.key, k.closeAtBudget(cur));
       gCompleted.fetch_add(1, std::memory_order_relaxed);
-      if (ob) {
-        // Witness solve outside any step window: report it so per-site
-        // attributed queries still sum to the solver total.
-        const smt::SmtSolver::Stats post = w.solver.stats();
-        if (post.queries != preClose.queries) {
-          ob->onOffStepSolve(cutPc, post.queries - preClose.queries,
-                             post.canon.terms - preClose.canon.terms,
-                             post.canon.gates - preClose.canon.gates,
-                             post.canon.conflicts - preClose.canon.conflicts,
-                             post.preHitSeen - preClose.preHitSeen,
-                             post.preMissSeen - preClose.preMissSeen);
-        }
-      }
       return;
     }
 
     const size_t condBefore = cur.state.pathCond.size();
     const smt::SmtSolver::Stats before = w.solver.stats();
-    if (ob) ob->onStepBegin(0, cur.state);
+    if (k.ob) k.ob->onStepBegin(0, cur.state);
     StepOut out;
     if (fuseOk) {
-      // Fuel caps reproduce every per-instruction stop boundary: the
-      // per-path budget, the checkpoint level barrier, the global step
-      // budget (approximate under concurrency, same as unfused), and a
-      // bounded slab size for wall-clock check cadence.
-      uint64_t fuel = base.maxStepsPerPath - cur.state.steps;
-      const uint64_t lvl = levelLimit.load(std::memory_order_relaxed);
-      if (lvl != UINT64_MAX) fuel = std::min(fuel, lvl - cur.state.steps);
-      const uint64_t g = gSteps.load(std::memory_order_relaxed);
-      fuel = std::min(fuel, base.maxTotalSteps > g
-                                ? base.maxTotalSteps - g
-                                : uint64_t{1});
-      fuel = std::min<uint64_t>(fuel, 4096);
-      if (wallDeadlineSteadyUs != 0) fuel = std::min<uint64_t>(fuel, 128);
-      w.exec->stepMany(cur.state, out, fuel);
+      // The global step budget is approximate under concurrency, same as
+      // unfused.
+      w.exec->stepMany(cur.state, out,
+                       k.fuel(cur.state.steps,
+                              gSteps.load(std::memory_order_relaxed),
+                              levelLimit.load(std::memory_order_relaxed)));
     } else {
       w.exec->step(cur.state, out);
     }
     w.steps += out.retired;
     gSteps.fetch_add(out.retired, std::memory_order_relaxed);
-    if (w.stepsCtr) w.stepsCtr->add(out.retired);
+    k.countStep(out);
     // Where this scheduling slot's last instruction ran: forks, drops and
     // defects of a fused run happen at its final (bailed) instruction.
     const uint64_t stepPc =
@@ -847,9 +692,7 @@ struct Engine {
 
     const bool forked = out.successors.size() > 1;
     if (forked) {
-      const uint64_t nf = out.successors.size() - 1;
-      w.forksN += nf;
-      if (w.forksCtr) w.forksCtr->add(nf);
+      w.forksN += out.successors.size() - 1;
       // Mint the children records up front (entry pc + fork condition);
       // the solver verdict lands after the successors are processed, once
       // this step's query delta is known.
@@ -857,9 +700,7 @@ struct Engine {
       recs[cur.key].numChildren = out.successors.size();
       for (size_t i = 0; i < out.successors.size(); ++i) {
         const MachineState& succ = out.successors[i];
-        PathKey ck = cur.key;
-        ck.push_back(static_cast<char32_t>(i));
-        NodeRec& child = recs[ck];
+        NodeRec& child = recs[childKey(cur.key, true, i)];
         child.forkPc = stepPc;
         child.entryPc = succ.pc;
         std::string cond;
@@ -872,29 +713,22 @@ struct Engine {
     }
     if (out.successors.empty()) {
       ++w.drops;
-      if (w.dropsCtr) w.dropsCtr->add();
       {
         std::lock_guard<std::mutex> rk(recMu);
         NodeRec& n = recs[cur.key];
         n.dropped = true;
         n.dropPc = stepPc;
       }
-      if (ob) ob->onDrop(0, stepPc);
+      if (k.ob) k.ob->onDrop(0, stepPc);
     }
 
     bool sawDefect = false;
     for (size_t i = 0; i < out.successors.size(); ++i) {
       MachineState& succ = out.successors[i];
-      PathKey ck = cur.key;
-      if (forked) ck.push_back(static_cast<char32_t>(i));
+      PathKey ck = childKey(cur.key, forked, i);
       if (succ.status == PathStatus::Running) {
-        Entry f;
-        f.newCovered = cur.newCovered / 2 + (newPcHere ? 1 : 0);
-        f.order = w.orderCounter++;
-        f.key = std::move(ck);
-        f.state = std::move(succ);
-        f.bytes = f.state.approxBytes();
-        fault::hit("alloc");  // frontier growth: the engine's alloc site
+        FrontierEntry f = makeChild(std::move(succ), cur, newPcHere,
+                                    std::move(ck), w.orderCounter++, 0);
         gFrontierBytes.fetch_add(f.bytes, std::memory_order_relaxed);
         gFrontier.fetch_add(1, std::memory_order_relaxed);
         if (f.state.steps >= levelLimit.load(std::memory_order_relaxed)) {
@@ -913,7 +747,7 @@ struct Engine {
         }
       } else {
         sawDefect = sawDefect || succ.defect.has_value();
-        finishPath(w, std::move(succ), ck);
+        file(ck, k.finishPath(std::move(succ), ck, 0));
         gCompleted.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -953,39 +787,23 @@ struct Engine {
       const char* verdict = q > 0 ? "sat" : "assumed";
       std::lock_guard<std::mutex> rk(recMu);
       for (size_t i = 0; i < out.successors.size(); ++i) {
-        PathKey ck = cur.key;
-        ck.push_back(static_cast<char32_t>(i));
-        NodeRec& child = recs[ck];
+        NodeRec& child = recs[childKey(cur.key, true, i)];
         child.verdict = verdict;
         child.solverQueries = q;
         child.solverMicros = us;
       }
     }
-    if (ob) {
-      ExploreObserver::StepInfo si;
-      si.node = 0;
-      si.pc = cur.state.pc;
-      si.numSuccessors = out.successors.size();
+    if (k.ob) {
+      // Worker solvers start at zero, so run deltas are the totals.
+      ExploreObserver::StepInfo si =
+          k.stepInfo(cur, out, before, after, smt::SmtSolver::Stats{},
+                     w.solver.cacheHits());
       si.frontierSize = gFrontier.load(std::memory_order_relaxed);
       si.totalSteps = gSteps.load(std::memory_order_relaxed);
       si.pathsDone = gPathsDone.load(std::memory_order_relaxed);
       si.coveredPcs = covSize;
-      si.stepSolverQueries = after.queries - before.queries;
-      si.stepSolverMicros = after.totalMicros - before.totalMicros;
-      si.runSolverQueries = after.queries;
-      si.runSolverMicros = after.totalMicros;
-      si.depth = cur.state.forks;
-      si.stepRtlTicks = out.rtlTicks;
-      si.stepCanonTerms = after.canon.terms - before.canon.terms;
-      si.stepCanonGates = after.canon.gates - before.canon.gates;
-      si.stepCanonConflicts = after.canon.conflicts - before.canon.conflicts;
-      si.runCacheHits = w.solver.cacheHits();
-      si.stepPrefilterHits = after.preHitSeen - before.preHitSeen;
-      si.stepPrefilterMisses = after.preMissSeen - before.preMissSeen;
-      if (wantKeys) si.pathKey = keyToString(cur.key);
-      si.pathSteps = cur.state.steps;  // pre-step count (cur is unstepped)
       si.frontierBytes = gFrontierBytes.load(std::memory_order_relaxed);
-      ob->onStepEnd(si);
+      k.ob->onStepEnd(si);
     }
     if (sawDefect && base.stopAtFirstDefect) {
       requestStop("first-defect", TruncReason::EarlyStop);
@@ -1114,16 +932,10 @@ ParallelResult ParallelExplorer::run() {
     // and serializes internally.
     w->solver.addQueryListener(cfg_.queryListener);
     w->exec = factory_(*w->svc);
-    if (w->tel != nullptr) {
-      // Resolve every explorer metric eagerly so the registry name union
-      // (and thus the merged "metrics" JSON) is identical across --jobs.
-      telemetry::MetricsRegistry& m = w->tel->metrics();
-      w->stepsCtr = &m.counter("explore.steps");
-      w->forksCtr = &m.counter("explore.forks");
-      w->dropsCtr = &m.counter("explore.drops");
-      w->mergesCtr = &m.counter("explore.merges");
-      w->pathsCtr = &m.counter("explore.paths");
-    }
+    // The kernel resolves every explorer metric eagerly, so the registry
+    // name union (and thus the merged "metrics" JSON) is identical across
+    // --jobs.
+    w->kernel.emplace(*w->svc, cfg_.base);
     workers.push_back(std::move(w));
   }
 
@@ -1131,13 +943,7 @@ ParallelResult ParallelExplorer::run() {
   eng.mainClk = &mainClk;
   eng.mainTel = mainTel_;
   eng.wallStartUs = startUs;
-  // Per-worker telemetry exists when a manual clock is configured or the
-  // coordinator carries a Telemetry (mirrors worker construction above).
-  eng.fuseOk = eng.ob == nullptr && cfg_.manualClockStepUs == 0 &&
-               mainTel_ == nullptr &&
-               cfg_.base.strategy == SearchStrategy::DFS &&
-               cfg_.base.maxFrontier == 0 && cfg_.base.memBudgetBytes == 0 &&
-               !fault::armed();
+  eng.fuseOk = workers[0]->kernel->fuseEligible();
   if (cfg_.checkpointEverySteps != 0) {
     eng.levelLimit.store(cfg_.checkpointEverySteps, std::memory_order_relaxed);
   }
@@ -1152,7 +958,7 @@ ParallelResult ParallelExplorer::run() {
 
   if (rv == nullptr) {
     Worker& w0 = *workers[0];
-    Entry root;
+    FrontierEntry& root = w0.frontier.emplace_back();
     root.state = w0.exec->initialState();
     root.order = w0.orderCounter++;
     root.bytes = root.state.approxBytes();
@@ -1162,8 +968,7 @@ ParallelResult ParallelExplorer::run() {
     r.forkPc = root.state.pc;
     r.entryPc = root.state.pc;
     r.verdict = "root";
-    if (eng.ob) eng.ob->onRoot(0, root.state);
-    w0.frontier.push_back(std::move(root));
+    if (cfg_.base.observer) cfg_.base.observer->onRoot(0, root.state);
   } else {
     // ---- resume: seed the engine from the checkpoint -------------------
     // Everything canonical is restored (frontier states, path records,
@@ -1204,7 +1009,7 @@ ParallelResult ParallelExplorer::run() {
     uint64_t nLive = 0;
     uint64_t liveBytes = 0;
     for (const json::Value& fe : fr.array) {
-      Entry e;
+      FrontierEntry e;
       e.key = keyFromString(ckpt::fieldStr(fe, "k"));
       e.state = ckpt::readMachineState(fe, slots, &image_);
       e.order = w0.orderCounter++;

@@ -277,6 +277,35 @@ uint64_t parseCount(const std::string& flag, std::string_view text,
   return *v;
 }
 
+/// A seconds-valued option: a finite number in (0, 1e9] (about 31
+/// years). Throws adlsym::InputError (exit 2) on anything else, NaN and
+/// infinities included.
+double parseSeconds(const std::string& flag, const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !(v > 0.0 && v <= 1e9)) {
+    throw InputError("bad " + flag + " value '" + text +
+                     "' (want seconds in (0, 1e9])");
+  }
+  return v;
+}
+
+/// The value of a path-valued option `arg` = "<flag>=<path>". Throws
+/// adlsym::InputError (exit 2) when the path is empty.
+std::string pathValue(const std::string& arg, const std::string& flag) {
+  std::string v = arg.substr(flag.size() + 1);
+  if (v.empty()) throw InputError("empty path for " + flag);
+  return v;
+}
+
+/// The value of a space-separated option args[i], advancing i past it.
+/// Throws adlsym::InputError (exit 2) when the option is the last word.
+const std::string& nextValue(const std::vector<std::string>& args,
+                             size_t& i) {
+  if (i + 1 >= args.size()) throw InputError("missing value for " + args[i]);
+  return args[++i];
+}
+
 /// --resume events splice: check that the first `offset` bytes of the
 /// events file canonicalize to the hash the checkpoint recorded, then cut
 /// the file back to that offset so the resumed run appends exactly where
@@ -688,11 +717,16 @@ CommandResult cmdExplore(const std::string& isaName,
                                              ? core::AdlEngineKind::Interp
                                              : core::AdlEngineKind::Bytecode;
   if (opt.jobs > 0) {
+    // Name the flag that chose the parallel engine.
+    const std::string parallelFlag = optIn.jobs > 0 ? "--jobs"
+                                     : !opt.checkpointPath.empty()
+                                         ? "--checkpoint"
+                                         : "--resume";
     if (opt.mergeStates) {
-      return fail("--merge is not supported with --jobs");
+      return fail("--merge is not supported with " + parallelFlag);
     }
     if (!opt.queryLogDir.empty()) {
-      return fail("--query-log is not supported with --jobs");
+      return fail("--query-log is not supported with " + parallelFlag);
     }
   }
 
@@ -1164,7 +1198,7 @@ CommandResult dispatch(const std::vector<std::string>& args) {
         } else if (args[i] == "--format=text") {
           opt.json = false;
         } else if (startsWith(args[i], "--stats-json=")) {
-          opt.statsJsonPath = args[i].substr(13);
+          opt.statsJsonPath = pathValue(args[i], "--stats-json");
         } else if (startsWith(args[i], "--")) {
           return fail("unknown lint option '" + args[i] + "'");
         } else {
@@ -1199,7 +1233,7 @@ CommandResult dispatch(const std::vector<std::string>& args) {
       RunOptions ropt;
       for (size_t i = 3; i < args.size(); ++i) {
         if (startsWith(args[i], "--stats-json=")) {
-          ropt.statsJsonPath = args[i].substr(13);
+          ropt.statsJsonPath = pathValue(args[i], "--stats-json");
         } else {
           const auto v = parseInt(args[i]);
           if (!v) return fail("bad input value '" + args[i] + "'");
@@ -1218,12 +1252,12 @@ CommandResult dispatch(const std::vector<std::string>& args) {
       opt.profileStdout = cmd == "profile";
       opt.programLabel = args[2];
       for (size_t i = 3; i < args.size(); ++i) {
-        if (args[i] == "--strategy" && i + 1 < args.size()) {
-          opt.strategy = args[++i];
-        } else if (args[i] == "--max-paths" && i + 1 < args.size()) {
-          opt.maxPaths = parseCount("--max-paths", args[++i]);
-        } else if (args[i] == "--max-steps" && i + 1 < args.size()) {
-          opt.maxTotalSteps = parseCount("--max-steps", args[++i]);
+        if (args[i] == "--strategy") {
+          opt.strategy = nextValue(args, i);
+        } else if (args[i] == "--max-paths") {
+          opt.maxPaths = parseCount("--max-paths", nextValue(args, i));
+        } else if (args[i] == "--max-steps") {
+          opt.maxTotalSteps = parseCount("--max-steps", nextValue(args, i));
         } else if (args[i] == "--first-defect") {
           opt.stopAtFirstDefect = true;
         } else if (args[i] == "--merge") {
@@ -1233,63 +1267,53 @@ CommandResult dispatch(const std::vector<std::string>& args) {
         } else if (args[i] == "--lint") {
           opt.lint = true;
         } else if (startsWith(args[i], "--stats-json=")) {
-          opt.statsJsonPath = args[i].substr(13);
+          opt.statsJsonPath = pathValue(args[i], "--stats-json");
         } else if (startsWith(args[i], "--path-forest=")) {
-          opt.pathForestPath = args[i].substr(14);
+          opt.pathForestPath = pathValue(args[i], "--path-forest");
         } else if (startsWith(args[i], "--path-dot=")) {
-          opt.pathDotPath = args[i].substr(11);
+          opt.pathDotPath = pathValue(args[i], "--path-dot");
         } else if (startsWith(args[i], "--query-log=")) {
-          opt.queryLogDir = args[i].substr(12);
+          opt.queryLogDir = pathValue(args[i], "--query-log");
         } else if (startsWith(args[i], "--profile=")) {
-          opt.profilePath = args[i].substr(10);
+          opt.profilePath = pathValue(args[i], "--profile");
         } else if (startsWith(args[i], "--profile-folded=")) {
-          opt.profileFoldedPath = args[i].substr(17);
+          opt.profileFoldedPath = pathValue(args[i], "--profile-folded");
         } else if (startsWith(args[i], "--events=")) {
-          opt.eventsPath = args[i].substr(9);
-          if (opt.eventsPath.empty()) {
-            return fail("bad --events (want a file path or '-')");
-          }
+          opt.eventsPath = pathValue(args[i], "--events");
         } else if (startsWith(args[i], "--events-snapshot=")) {
           opt.eventsSnapshotEvery =
               parseCount("--events-snapshot", args[i].substr(18));
         } else if (startsWith(args[i], "--manifest=")) {
-          opt.manifestPath = args[i].substr(11);
-          if (opt.manifestPath.empty()) {
-            return fail("bad --manifest (want a file path)");
-          }
-        } else if (args[i] == "--max-frontier" && i + 1 < args.size()) {
-          opt.maxFrontier = parseCount("--max-frontier", args[++i], 1);
-        } else if (args[i] == "--mem-budget-mb" && i + 1 < args.size()) {
-          opt.memBudgetMb = parseCount("--mem-budget-mb", args[++i], 1);
-        } else if (args[i] == "--solver-timeout-ms" && i + 1 < args.size()) {
-          opt.solverTimeoutMs = parseCount("--solver-timeout-ms", args[++i]);
-        } else if (args[i] == "--max-wall-ms" && i + 1 < args.size()) {
-          opt.maxWallMs = parseCount("--max-wall-ms", args[++i]);
+          opt.manifestPath = pathValue(args[i], "--manifest");
+        } else if (args[i] == "--max-frontier") {
+          opt.maxFrontier =
+              parseCount("--max-frontier", nextValue(args, i), 1);
+        } else if (args[i] == "--mem-budget-mb") {
+          opt.memBudgetMb =
+              parseCount("--mem-budget-mb", nextValue(args, i), 1);
+        } else if (args[i] == "--solver-timeout-ms") {
+          opt.solverTimeoutMs =
+              parseCount("--solver-timeout-ms", nextValue(args, i));
+        } else if (args[i] == "--max-wall-ms") {
+          opt.maxWallMs = parseCount("--max-wall-ms", nextValue(args, i));
         } else if (startsWith(args[i], "--inject=")) {
           opt.injectSpec = args[i].substr(9);
         } else if (startsWith(args[i], "--checkpoint=")) {
-          opt.checkpointPath = args[i].substr(13);
-          if (opt.checkpointPath.empty()) {
-            return fail("bad --checkpoint (want a file path)");
-          }
+          opt.checkpointPath = pathValue(args[i], "--checkpoint");
         } else if (startsWith(args[i], "--checkpoint-every=")) {
           opt.checkpointEverySteps =
               parseCount("--checkpoint-every", args[i].substr(19), 1);
         } else if (startsWith(args[i], "--resume=")) {
-          opt.resumePath = args[i].substr(9);
-          if (opt.resumePath.empty()) {
-            return fail("bad --resume (want a checkpoint file)");
-          }
+          opt.resumePath = pathValue(args[i], "--resume");
         } else if (args[i] == "--clock=manual") {
           opt.manualClockStepUs = 1;
         } else if (startsWith(args[i], "--clock=manual:")) {
           opt.manualClockStepUs =
               parseCount("--clock=manual", args[i].substr(15), 1);
-        } else if ((args[i] == "--jobs" && i + 1 < args.size()) ||
-                   startsWith(args[i], "--jobs=")) {
+        } else if (args[i] == "--jobs" || startsWith(args[i], "--jobs=")) {
           const std::string v = startsWith(args[i], "--jobs=")
                                     ? args[i].substr(7)
-                                    : args[++i];
+                                    : nextValue(args, i);
           opt.jobs = parseCount("--jobs", v, 1, 64);
         } else if (args[i] == "--prefilter=on") {
           opt.prefilterOn = true;
@@ -1314,12 +1338,7 @@ CommandResult dispatch(const std::vector<std::string>& args) {
         } else if (args[i] == "--progress") {
           opt.progressSeconds = 1.0;
         } else if (startsWith(args[i], "--progress=")) {
-          const std::string v = args[i].substr(11);
-          char* end = nullptr;
-          opt.progressSeconds = std::strtod(v.c_str(), &end);
-          if (end == v.c_str() || *end != '\0' || opt.progressSeconds <= 0.0) {
-            return fail("bad --progress interval '" + v + "'");
-          }
+          opt.progressSeconds = parseSeconds("--progress", args[i].substr(11));
         } else {
           return fail("unknown " + cmd + " option '" + args[i] + "'");
         }
@@ -1338,12 +1357,7 @@ CommandResult dispatch(const std::vector<std::string>& args) {
         if (args[i] == "--no-follow") {
           topt.follow = false;
         } else if (startsWith(args[i], "--max-wait=")) {
-          const std::string v = args[i].substr(11);
-          char* end = nullptr;
-          topt.maxWaitSeconds = std::strtod(v.c_str(), &end);
-          if (end == v.c_str() || *end != '\0' || topt.maxWaitSeconds <= 0.0) {
-            return fail("bad --max-wait '" + v + "'");
-          }
+          topt.maxWaitSeconds = parseSeconds("--max-wait", args[i].substr(11));
         } else if (startsWith(args[i], "--")) {
           return fail("unknown tail option '" + args[i] + "'");
         } else {
@@ -1365,7 +1379,7 @@ CommandResult dispatch(const std::vector<std::string>& args) {
       std::string eventsPath, statsPath;
       for (size_t i = 2; i < args.size(); ++i) {
         if (startsWith(args[i], "--stats=")) {
-          statsPath = args[i].substr(8);
+          statsPath = pathValue(args[i], "--stats");
         } else if (startsWith(args[i], "--")) {
           return fail("unknown events option '" + args[i] + "'");
         } else if (eventsPath.empty()) {

@@ -1,5 +1,6 @@
 #include "obs/progress.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "obs/events.h"
@@ -10,7 +11,10 @@ ProgressMeter::ProgressMeter(telemetry::Telemetry* tel, std::ostream& os,
                              double intervalSeconds, EventBus* bus,
                              uint64_t codePcs)
     : tel_(tel), os_(os), bus_(bus), codePcs_(codePcs) {
-  if (intervalSeconds < 0.001) intervalSeconds = 0.001;
+  // Clamp before the cast: NaN and tiny values to 1 ms, huge ones (an
+  // out-of-range double-to-integer cast is undefined) to 1e12 s.
+  if (!(intervalSeconds >= 0.001)) intervalSeconds = 0.001;
+  intervalSeconds = std::min(intervalSeconds, 1e12);
   intervalMicros_ = static_cast<uint64_t>(intervalSeconds * 1e6);
 }
 

@@ -302,6 +302,45 @@ TEST(Cli, ProgressFlagParsing) {
       dispatch({"explore", "rv32e", imgPath, "--progress=soon"}).exitCode, 2);
 }
 
+TEST(Cli, MisuseMessagesNameTheFlag) {
+  const auto img = cmdAsm("rv32e", kProgram);
+  ASSERT_EQ(img.exitCode, 0);
+  const std::string imgPath = testing::TempDir() + "cli_misuse.img";
+  std::ofstream(imgPath, std::ios::binary) << img.output;
+  // A space-separated flag given as the last word lacks its value.
+  for (const char* flag :
+       {"--strategy", "--max-paths", "--max-steps", "--max-frontier",
+        "--mem-budget-mb", "--solver-timeout-ms", "--max-wall-ms", "--jobs"}) {
+    const auto r = dispatch({"explore", "rv32e", imgPath, flag});
+    EXPECT_EQ(r.exitCode, 2) << flag;
+    EXPECT_NE(r.output.find(std::string("missing value for ") + flag),
+              std::string::npos)
+        << r.output;
+  }
+  // --checkpoint/--resume pick the parallel engine without --jobs; the
+  // rejection names the flag the user gave.
+  const std::string ck = testing::TempDir() + "cli_misuse.ckpt";
+  const auto merge = dispatch({"explore", "rv32e", imgPath, "--clock=manual",
+                               "--checkpoint=" + ck, "--merge"});
+  EXPECT_EQ(merge.exitCode, 2);
+  EXPECT_NE(merge.output.find("--merge is not supported with --checkpoint"),
+            std::string::npos)
+      << merge.output;
+  const auto qlog =
+      dispatch({"explore", "rv32e", imgPath, "--clock=manual",
+                "--resume=" + ck, "--query-log=" + testing::TempDir() + "q"});
+  EXPECT_EQ(qlog.exitCode, 2);
+  EXPECT_NE(qlog.output.find("--query-log is not supported with --resume"),
+            std::string::npos)
+      << qlog.output;
+  const auto jobs = dispatch({"explore", "rv32e", imgPath, "--jobs", "2",
+                              "--merge"});
+  EXPECT_EQ(jobs.exitCode, 2);
+  EXPECT_NE(jobs.output.find("--merge is not supported with --jobs"),
+            std::string::npos)
+      << jobs.output;
+}
+
 TEST(Cli, AsmErrorsReported) {
   const auto r = cmdAsm("rv32e", "frob x1\n");
   EXPECT_EQ(r.exitCode, 2);
@@ -413,6 +452,30 @@ TEST(CliEvents, UsageErrors) {
     args.insert(args.end(), flag.begin(), flag.end());
     EXPECT_EQ(dispatch(args).exitCode, 2) << flag.front();
   }
+  // Seconds-valued flags reject non-finite and out-of-range values.
+  for (const char* bad : {"--progress=inf", "--progress=1e20", "--progress=nan",
+                          "--progress=-1"}) {
+    EXPECT_EQ(dispatch({"explore", "rv32e", imgPath, bad}).exitCode, 2) << bad;
+  }
+  for (const char* bad : {"--max-wait=nan", "--max-wait=inf", "--max-wait=1e20",
+                          "--max-wait=0"}) {
+    EXPECT_EQ(dispatch({"tail", imgPath, "--no-follow", bad}).exitCode, 2)
+        << bad;
+  }
+  // Every path-valued flag rejects an empty path.
+  for (const char* empty :
+       {"--stats-json=", "--path-forest=", "--path-dot=", "--query-log=",
+        "--profile=", "--profile-folded=", "--checkpoint=", "--resume="}) {
+    const auto r = dispatch({"explore", "rv32e", imgPath, empty});
+    EXPECT_EQ(r.exitCode, 2) << empty;
+    EXPECT_NE(r.output.find("empty path"), std::string::npos) << r.output;
+  }
+  EXPECT_EQ(dispatch({"profile", "rv32e", imgPath, "--stats-json="}).exitCode,
+            2);
+  EXPECT_EQ(dispatch({"run", "rv32e", imgPath, "--stats-json="}).exitCode, 2);
+  EXPECT_EQ(dispatch({"lint", "rv32e", "--stats-json="}).exitCode, 2);
+  EXPECT_EQ(dispatch({"events", "summarize", imgPath, "--stats="}).exitCode,
+            2);
   // There is no --trace option (events go through --events).
   EXPECT_EQ(dispatch({"explore", "rv32e", imgPath, "--trace=x"}).exitCode, 2);
   EXPECT_EQ(dispatch({"profile", "rv32e", imgPath, "--trace=x"}).exitCode, 2);

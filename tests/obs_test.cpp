@@ -400,6 +400,20 @@ TEST(Progress, NoBeatBeforeIntervalElapses) {
   EXPECT_TRUE(out.str().empty());
 }
 
+TEST(Progress, HugeIntervalNeverBeats) {
+  // Every clock read advances 1e6 s; an interval beyond the range of a
+  // microsecond count is clamped, not cast out of range (which could
+  // leave a 0 interval and a beat on every step).
+  telemetry::ManualClock clk(1'000'000'000'000);
+  telemetry::Telemetry tel(clk);
+  std::ostringstream out;
+  obs::ProgressMeter meter(&tel, out, 1e20);
+  core::ExploreObserver::StepInfo si;
+  for (int i = 0; i < 50; ++i) meter.onStepEnd(si);
+  EXPECT_EQ(meter.beats(), 0u);
+  EXPECT_TRUE(out.str().empty());
+}
+
 // ---- site stats ----------------------------------------------------------
 
 TEST(SiteStats, CountsOpcodesAndBranchEvents) {

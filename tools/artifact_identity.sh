@@ -3,8 +3,8 @@
 # explorations with both and requires equal stdout, exit codes and
 # artifacts. Meant for refactors that must not change any output.
 #
-# Every portable workload runs on every shipped ISA under --clock=manual in
-# three shapes:
+# Everything runs under --clock=manual. Every portable workload runs on
+# every shipped ISA in these shapes:
 #   seq   sequential engine with --stats-json --path-forest --path-dot
 #         --profile --profile-folded --events --manifest --query-log
 #   j4    --jobs 4 with the same flags minus --query-log
@@ -12,6 +12,15 @@
 #   runK  `adlsym run --stats-json` on five input vectors (none, all 0,
 #         1 2 3 4, all 255, 300 7 65535 9); stats compared after
 #         tools/stats_strip, which drops the timing-bearing metrics block
+#   seq-S, j4-S  the seq and j4 shapes under --strategy S (bfs, random,
+#         coverage)
+# and every governor case below runs on every ISA in three shapes:
+#   seq   as above, and its stats must show truncated paths (the budget
+#         really fired)
+#   j1    --jobs 1 with the j4 flags: the parallel engine on one worker
+#   j4    --jobs 4, exit code only: which states a pool evicts, or
+#         finishes before an early stop, depends on the schedule
+#         (docs/parallelism.md), so only the exit code is comparable
 # Parallel runs write events in a schedule-dependent order, so their
 # streams are compared after tools/events_canon, and the --jobs 4
 # manifests (which hash the raw stream) are skipped.
@@ -35,6 +44,20 @@ full=(--stats-json=stats.json --path-forest=forest.json --path-dot=forest.dot
       --events=events.jsonl --manifest=manifest.json)
 ckpt=(--stats-json=stats.json --path-forest=forest.json --events=events.jsonl
       --manifest=manifest.json --checkpoint-every=4 --checkpoint=final.ckpt)
+
+# Governor cases, "<workload>|<flags>": frontier and memory eviction under
+# every strategy's victim choice, and early stops at the first defect.
+governor=(
+  "bitcount3|--max-frontier 1"
+  "parse2|--max-frontier 1"
+  "bitcount3|--strategy bfs --max-frontier 1"
+  "bitcount3|--strategy random --max-frontier 2"
+  "bitcount3|--strategy coverage --max-frontier 2"
+  "accum5|--mem-budget-mb 1"
+  "accum5|--strategy bfs --mem-budget-mb 1"
+  "div-by-zero-bad|--first-defect"
+  "oob-write-bad|--first-defect"
+)
 
 runs=0
 fails=0
@@ -68,10 +91,18 @@ concrete() {
   fi
 }
 
-# compare <case> <canon-events:0|1> <skip-manifest:0|1>
+# compare <case> <canon-events:0|1> <skip-manifest:0|1|exit>
+# (skip-manifest "exit" compares the exit codes only)
 compare() {
   local c=$1 canonEvents=$2 skipManifest=$3 a="$scratch/old/$1" b="$scratch/new/$1"
   runs=$((runs + 1))
+  if [ "$skipManifest" = exit ]; then
+    if ! cmp -s "$a/exit.txt" "$b/exit.txt"; then
+      echo "DIFF $c: exit code" >&2
+      fails=$((fails + 1))
+    fi
+    return
+  fi
   if [ "$canonEvents" = 1 ]; then
     for d in "$a" "$b"; do
       "$canon" "$d/events.jsonl" > "$d/events.canon"
@@ -102,6 +133,19 @@ for prog in bitcount3 max3 checksum2 parse2 earlyexit4; do
     compare "$prog-$isa-j4" 1 1
     compare "$prog-$isa-ck1" 1 0
     compare "$prog-$isa-ck4" 1 1
+    for strategy in bfs random coverage; do
+      for side in old new; do
+        build=$old
+        [ "$side" = new ] && build=$new
+        base="$scratch/$side/$prog-$isa"
+        run "$build" "$base-seq-$strategy" "$isa" "${full[@]}" \
+          --query-log=qlog --strategy "$strategy"
+        run "$build" "$base-j4-$strategy" "$isa" "${full[@]}" --jobs 4 \
+          --strategy "$strategy"
+      done
+      compare "$prog-$isa-seq-$strategy" 0 0
+      compare "$prog-$isa-j4-$strategy" 1 1
+    done
     k=0
     for vec in "" "0 0 0 0" "1 2 3 4" "255 255 255 255" "300 7 65535 9"; do
       for side in old new; do
@@ -114,6 +158,35 @@ for prog in bitcount3 max3 checksum2 parse2 earlyexit4; do
       k=$((k + 1))
     done
   done
+done
+
+g=0
+for spec in "${governor[@]}"; do
+  prog=${spec%%|*}
+  read -r -a flags <<< "${spec#*|}"
+  for isa in acc8 m16 rv32e stk16; do
+    "$wimg" "$prog" "$isa" > "$scratch/prog.img"
+    c="gov$g-$prog-$isa"
+    for side in old new; do
+      build=$old
+      [ "$side" = new ] && build=$new
+      run "$build" "$scratch/$side/$c-seq" "$isa" "${full[@]}" \
+        --query-log=qlog "${flags[@]}"
+      run "$build" "$scratch/$side/$c-j1" "$isa" "${full[@]}" --jobs 1 \
+        "${flags[@]}"
+      run "$build" "$scratch/$side/$c-j4" "$isa" "${full[@]}" --jobs 4 \
+        "${flags[@]}"
+    done
+    if ! grep -q '"states_truncated":[1-9]' \
+        "$scratch/new/$c-seq/stats.json"; then
+      echo "NO TRUNCATION $c: '${spec#*|}' did not fire" >&2
+      fails=$((fails + 1))
+    fi
+    compare "$c-seq" 0 0
+    compare "$c-j1" 1 0
+    compare "$c-j4" 0 exit
+  done
+  g=$((g + 1))
 done
 
 echo "artifact_identity: $runs cases, $fails differing"
