@@ -114,6 +114,8 @@ class Executor {
   }
   /// Per-RTL-statement profiling hookup (no-op for engines without RTL
   /// semantics). See AdlExecutor::setRtlProfile for the flush contract.
+  /// The profile must outlive this executor: the destructor flushes the
+  /// executor-local counts into it.
   virtual void setRtlProfile(RtlProfile* p) { (void)p; }
   virtual void flushRtlProfile() {}
 };

@@ -221,7 +221,7 @@ PathResult ExploreKernel::closeAtBudget(FrontierEntry& e) {
 ExploreObserver::StepInfo ExploreKernel::stepInfo(
     const FrontierEntry& cur, const StepOut& out,
     const smt::SmtSolver::Stats& before, const smt::SmtSolver::Stats& after,
-    const smt::SmtSolver::Stats& runBase, uint64_t runCacheHits) const {
+    const smt::SmtSolver::Stats& runBase) const {
   ExploreObserver::StepInfo si;
   si.node = cur.node;
   si.pc = cur.state.pc;
@@ -235,7 +235,7 @@ ExploreObserver::StepInfo ExploreKernel::stepInfo(
   si.stepCanonTerms = after.canon.terms - before.canon.terms;
   si.stepCanonGates = after.canon.gates - before.canon.gates;
   si.stepCanonConflicts = after.canon.conflicts - before.canon.conflicts;
-  si.runCacheHits = runCacheHits;
+  si.runCacheHits = after.cacheHits - runBase.cacheHits;
   si.stepPrefilterHits = after.preHitSeen - before.preHitSeen;
   si.stepPrefilterMisses = after.preMissSeen - before.preMissSeen;
   if (wantKeys) si.pathKey = keyToString(cur.key);
@@ -347,7 +347,6 @@ ExploreSummary Explorer::run() {
   // Solver-work baseline so StepInfo can report run-relative deltas even
   // when the solver instance is shared across explorations.
   const smt::SmtSolver::Stats solverBase = svc_.solver.stats();
-  const uint64_t cacheHitsBase = svc_.solver.cacheHits();
 
   std::vector<FrontierEntry> frontier;
   uint64_t orderCounter = 0;
@@ -487,8 +486,7 @@ ExploreSummary Explorer::run() {
     }
     if (ob) {
       ExploreObserver::StepInfo si = kernel_.stepInfo(
-          cur, out, solverBefore, svc_.solver.stats(), solverBase,
-          svc_.solver.cacheHits() - cacheHitsBase);
+          cur, out, solverBefore, svc_.solver.stats(), solverBase);
       si.frontierSize = frontier.size();
       si.totalSteps = summary.totalSteps;
       si.pathsDone = summary.paths.size();

@@ -198,12 +198,10 @@ struct ExploreKernel {
   /// StepInfo for stepping `cur` into `out`, with the solver deltas since
   /// `before` (step) and `runBase` (run). The engine fills the frontier,
   /// step, path and coverage totals.
-  ExploreObserver::StepInfo stepInfo(const FrontierEntry& cur,
-                                     const StepOut& out,
-                                     const smt::SmtSolver::Stats& before,
-                                     const smt::SmtSolver::Stats& after,
-                                     const smt::SmtSolver::Stats& runBase,
-                                     uint64_t runCacheHits) const;
+  ExploreObserver::StepInfo stepInfo(
+      const FrontierEntry& cur, const StepOut& out,
+      const smt::SmtSolver::Stats& before, const smt::SmtSolver::Stats& after,
+      const smt::SmtSolver::Stats& runBase) const;
 };
 
 class Explorer {

@@ -46,112 +46,6 @@ PathKey keyFromString(const std::string& s) {
   }
 }
 
-/// Fold one worker's solver snapshot into the running aggregate — the
-/// barrier merge and the checkpoint writer must sum identically.
-void accumulateSolver(smt::SolverTelemetry& a, const smt::SolverTelemetry& t) {
-  a.queries += t.queries;
-  a.sat += t.sat;
-  a.unsat += t.unsat;
-  a.unknown += t.unknown;
-  a.totalMicros += t.totalMicros;
-  a.maxMicros = std::max(a.maxMicros, t.maxMicros);
-  a.cacheHits += t.cacheHits;
-  a.satCore += t.satCore;
-  a.blast += t.blast;
-  a.satVars += t.satVars;
-  a.satClauses += t.satClauses;
-  a.canon += t.canon;
-  a.preEnabled = a.preEnabled || t.preEnabled;
-  a.preConsulted += t.preConsulted;
-  a.preSat += t.preSat;
-  a.preUnsat += t.preUnsat;
-  a.preFallback += t.preFallback;
-  a.preShortcircuit += t.preShortcircuit;
-  a.directSolves += t.directSolves;
-  a.preCoreConstraints += t.preCoreConstraints;
-}
-
-/// Checkpoint form of the across-worker solver aggregate: every field a
-/// resumed run must treat as already-consumed baseline.
-void writeSolverCkpt(json::Writer& w, const smt::SolverTelemetry& t) {
-  w.beginObject();
-  w.kv("queries", t.queries);
-  w.kv("sat", t.sat);
-  w.kv("unsat", t.unsat);
-  w.kv("unknown", t.unknown);
-  w.kv("total_us", t.totalMicros);
-  w.kv("max_us", t.maxMicros);
-  w.kv("cache_hits", t.cacheHits);
-  w.key("sat_core").beginObject();
-  w.kv("conflicts", t.satCore.conflicts);
-  w.kv("decisions", t.satCore.decisions);
-  w.kv("propagations", t.satCore.propagations);
-  w.kv("restarts", t.satCore.restarts);
-  w.kv("learned", t.satCore.learned);
-  w.kv("deleted", t.satCore.deletedClauses);
-  w.kv("deadline_aborts", t.satCore.deadlineAborts);
-  w.endObject();
-  w.key("blast").beginObject();
-  w.kv("gates", t.blast.gates);
-  w.kv("cache_hits", t.blast.cacheHits);
-  w.kv("terms", t.blast.termsBlasted);
-  w.endObject();
-  w.kv("sat_vars", t.satVars);
-  w.kv("sat_clauses", t.satClauses);
-  w.key("canon").beginObject();
-  w.kv("terms", t.canon.terms);
-  w.kv("gates", t.canon.gates);
-  w.kv("conflicts", t.canon.conflicts);
-  w.endObject();
-  w.kv("pre_enabled", t.preEnabled);
-  w.kv("pre_consulted", t.preConsulted);
-  w.kv("pre_sat", t.preSat);
-  w.kv("pre_unsat", t.preUnsat);
-  w.kv("pre_fallback", t.preFallback);
-  w.kv("pre_shortcircuit", t.preShortcircuit);
-  w.kv("direct_solves", t.directSolves);
-  w.kv("pre_core_constraints", t.preCoreConstraints);
-  w.endObject();
-}
-
-smt::SolverTelemetry readSolverCkpt(const json::Value& v) {
-  smt::SolverTelemetry t;
-  t.queries = ckpt::fieldU64(v, "queries");
-  t.sat = ckpt::fieldU64(v, "sat");
-  t.unsat = ckpt::fieldU64(v, "unsat");
-  t.unknown = ckpt::fieldU64(v, "unknown");
-  t.totalMicros = ckpt::fieldU64(v, "total_us");
-  t.maxMicros = ckpt::fieldU64(v, "max_us");
-  t.cacheHits = ckpt::fieldU64(v, "cache_hits");
-  const json::Value& core = ckpt::field(v, "sat_core");
-  t.satCore.conflicts = ckpt::fieldU64(core, "conflicts");
-  t.satCore.decisions = ckpt::fieldU64(core, "decisions");
-  t.satCore.propagations = ckpt::fieldU64(core, "propagations");
-  t.satCore.restarts = ckpt::fieldU64(core, "restarts");
-  t.satCore.learned = ckpt::fieldU64(core, "learned");
-  t.satCore.deletedClauses = ckpt::fieldU64(core, "deleted");
-  t.satCore.deadlineAborts = ckpt::fieldU64(core, "deadline_aborts");
-  const json::Value& blast = ckpt::field(v, "blast");
-  t.blast.gates = ckpt::fieldU64(blast, "gates");
-  t.blast.cacheHits = ckpt::fieldU64(blast, "cache_hits");
-  t.blast.termsBlasted = ckpt::fieldU64(blast, "terms");
-  t.satVars = ckpt::fieldU64(v, "sat_vars");
-  t.satClauses = ckpt::fieldU64(v, "sat_clauses");
-  const json::Value& canon = ckpt::field(v, "canon");
-  t.canon.terms = ckpt::fieldU64(canon, "terms");
-  t.canon.gates = ckpt::fieldU64(canon, "gates");
-  t.canon.conflicts = ckpt::fieldU64(canon, "conflicts");
-  t.preEnabled = ckpt::field(v, "pre_enabled").boolean;
-  t.preConsulted = ckpt::fieldU64(v, "pre_consulted");
-  t.preSat = ckpt::fieldU64(v, "pre_sat");
-  t.preUnsat = ckpt::fieldU64(v, "pre_unsat");
-  t.preFallback = ckpt::fieldU64(v, "pre_fallback");
-  t.preShortcircuit = ckpt::fieldU64(v, "pre_shortcircuit");
-  t.directSolves = ckpt::fieldU64(v, "direct_solves");
-  t.preCoreConstraints = ckpt::fieldU64(v, "pre_core_constraints");
-  return t;
-}
-
 // Global per-node record, guarded by Engine::recMu. Creation fields are
 // written when the node is minted (at its parent's fork, or for the root
 // at startup); terminal fields when the node leaves a frontier.
@@ -401,7 +295,7 @@ struct Engine {
   smt::SolverTelemetry solverSum() const {
     smt::SolverTelemetry t = solverBase;
     for (const auto& wp : workers) {
-      accumulateSolver(t, wp->solver.telemetrySnapshot());
+      t += wp->solver.telemetrySnapshot();
     }
     return t;
   }
@@ -515,7 +409,7 @@ struct Engine {
 
     const smt::SolverTelemetry solver = solverSum();
     w.key("solver");
-    writeSolverCkpt(w, solver);
+    solver.writeCkpt(w);
 
     if (cfg.qcache != nullptr) {
       w.key("qcache");
@@ -753,9 +647,9 @@ struct Engine {
     }
 
     // Byte budget: all frontier states plus every worker's term pool.
-    // Each worker evicts from its own frontier; when the whole pool is
-    // over budget and no frontier state remains anywhere, the run ends as
-    // "mem-budget" (the pools alone no longer fit).
+    // Each worker evicts from its own frontier; when this eviction drains
+    // the last frontier state anywhere, the run ends as "mem-budget" (the
+    // pools alone no longer fit), the sequential engine's rule.
     if (base.memBudgetBytes != 0) {
       w.poolTerms.store(w.tm.numTerms(), std::memory_order_relaxed);
       uint64_t poolBytes = 0;
@@ -763,14 +657,13 @@ struct Engine {
         poolBytes += ww->poolTerms.load(std::memory_order_relaxed) *
                      kBytesPerTerm;
       }
+      bool evicted = false;
       while (gFrontierBytes.load(std::memory_order_relaxed) + poolBytes >
                  base.memBudgetBytes &&
              evictLocal(w, TruncReason::Memory)) {
+        evicted = true;
       }
-      if (w.frontier.empty() &&
-          gFrontier.load(std::memory_order_relaxed) == 0 &&
-          gFrontierBytes.load(std::memory_order_relaxed) + poolBytes >
-              base.memBudgetBytes) {
+      if (evicted && gFrontier.load(std::memory_order_relaxed) == 0) {
         requestStop("mem-budget", TruncReason::Memory);
       }
     }
@@ -796,8 +689,7 @@ struct Engine {
     if (k.ob) {
       // Worker solvers start at zero, so run deltas are the totals.
       ExploreObserver::StepInfo si =
-          k.stepInfo(cur, out, before, after, smt::SmtSolver::Stats{},
-                     w.solver.cacheHits());
+          k.stepInfo(cur, out, before, after, smt::SmtSolver::Stats{});
       si.frontierSize = gFrontier.load(std::memory_order_relaxed);
       si.totalSteps = gSteps.load(std::memory_order_relaxed);
       si.pathsDone = gPathsDone.load(std::memory_order_relaxed);
@@ -998,7 +890,8 @@ ParallelResult ParallelExplorer::run() {
     if (!cov.isArray()) throw InputError("checkpoint: 'covered' not an array");
     for (const json::Value& pc : cov.array) eng.covered.insert(pc.asU64());
 
-    eng.solverBase = readSolverCkpt(ckpt::field(*rv, "solver"));
+    eng.solverBase =
+        smt::SolverTelemetry::readCkpt(ckpt::field(*rv, "solver"));
     eng.metricsBase.mergeFromJson(ckpt::field(*rv, "metrics"));
 
     const std::vector<smt::TermRef> slots =

@@ -101,24 +101,136 @@ std::string SolverTelemetry::format() const {
   return out;
 }
 
+QueryCounters& QueryCounters::operator+=(const QueryCounters& o) {
+  queries += o.queries;
+  sat += o.sat;
+  unsat += o.unsat;
+  unknown += o.unknown;
+  totalMicros += o.totalMicros;
+  maxMicros = std::max(maxMicros, o.maxMicros);
+  cacheHits += o.cacheHits;
+  canon += o.canon;
+  preConsulted += o.preConsulted;
+  preSat += o.preSat;
+  preUnsat += o.preUnsat;
+  preFallback += o.preFallback;
+  preShortcircuit += o.preShortcircuit;
+  directSolves += o.directSolves;
+  preCoreConstraints += o.preCoreConstraints;
+  return *this;
+}
+
+SolverTelemetry& SolverTelemetry::operator+=(const SolverTelemetry& o) {
+  QueryCounters::operator+=(o);
+  satCore += o.satCore;
+  blast += o.blast;
+  satVars += o.satVars;
+  satClauses += o.satClauses;
+  preEnabled = preEnabled || o.preEnabled;
+  return *this;
+}
+
+namespace {
+
+/// The checkpoint schema of SolverTelemetry: one row per field, (ckpt key,
+/// member), in checkpoint order. `f(key, member)` visits a field and
+/// `f.group(key, rows)` a nested object; writeCkpt and readCkpt are the
+/// two visitors, so they cannot drift apart.
+template <class T, class F>
+void ckptFields(T& t, F& f) {
+  f("queries", t.queries);
+  f("sat", t.sat);
+  f("unsat", t.unsat);
+  f("unknown", t.unknown);
+  f("total_us", t.totalMicros);
+  f("max_us", t.maxMicros);
+  f("cache_hits", t.cacheHits);
+  f.group("sat_core", [&] {
+    f("conflicts", t.satCore.conflicts);
+    f("decisions", t.satCore.decisions);
+    f("propagations", t.satCore.propagations);
+    f("restarts", t.satCore.restarts);
+    f("learned", t.satCore.learned);
+    f("deleted", t.satCore.deletedClauses);
+    f("deadline_aborts", t.satCore.deadlineAborts);
+  });
+  f.group("blast", [&] {
+    f("gates", t.blast.gates);
+    f("cache_hits", t.blast.cacheHits);
+    f("terms", t.blast.termsBlasted);
+  });
+  f("sat_vars", t.satVars);
+  f("sat_clauses", t.satClauses);
+  f.group("canon", [&] {
+    f("terms", t.canon.terms);
+    f("gates", t.canon.gates);
+    f("conflicts", t.canon.conflicts);
+  });
+  f("pre_enabled", t.preEnabled);
+  f("pre_consulted", t.preConsulted);
+  f("pre_sat", t.preSat);
+  f("pre_unsat", t.preUnsat);
+  f("pre_fallback", t.preFallback);
+  f("pre_shortcircuit", t.preShortcircuit);
+  f("direct_solves", t.directSolves);
+  f("pre_core_constraints", t.preCoreConstraints);
+}
+
+struct CkptWriter {
+  json::Writer& w;
+  template <class V>
+  void operator()(const char* key, V v) {
+    w.kv(key, v);
+  }
+  template <class Rows>
+  void group(const char* key, Rows rows) {
+    w.key(key).beginObject();
+    rows();
+    w.endObject();
+  }
+};
+
+struct CkptReader {
+  const json::Value* obj;
+  const json::Value& field(const char* key) const {
+    const json::Value* f = obj->find(key);
+    if (f == nullptr) {
+      throw InputError(std::string("checkpoint: missing field '") + key +
+                       "'");
+    }
+    return *f;
+  }
+  void operator()(const char* key, uint64_t& v) { v = field(key).asU64(); }
+  void operator()(const char* key, bool& v) { v = field(key).boolean; }
+  template <class Rows>
+  void group(const char* key, Rows rows) {
+    const json::Value* outer = obj;
+    obj = &field(key);
+    rows();
+    obj = outer;
+  }
+};
+
+}  // namespace
+
+void SolverTelemetry::writeCkpt(json::Writer& w) const {
+  CkptWriter f{w};
+  w.beginObject();
+  ckptFields(*this, f);
+  w.endObject();
+}
+
+SolverTelemetry SolverTelemetry::readCkpt(const json::Value& v) {
+  SolverTelemetry t;
+  CkptReader f{&v};
+  ckptFields(t, f);
+  return t;
+}
+
 SolverTelemetry SmtSolver::telemetrySnapshot() const {
   SolverTelemetry t;
-  t.queries = stats_.queries;
-  t.sat = stats_.sat;
-  t.unsat = stats_.unsat;
-  t.unknown = stats_.unknown;
-  t.totalMicros = stats_.totalMicros;
-  t.maxMicros = stats_.maxMicros;
-  t.cacheHits = cacheHits_;
-  t.canon = stats_.canon;
+  static_cast<QueryCounters&>(t) = stats_;
   t.preEnabled = pre_ != nullptr;
-  t.preConsulted = stats_.preConsulted;
-  t.preSat = stats_.preSat;
-  t.preUnsat = stats_.preUnsat;
-  t.preFallback = stats_.preFallback;
-  t.preShortcircuit = stats_.preShortcircuit;
-  t.directSolves = stats_.directSolves;
-  t.preCoreConstraints = stats_.preCoreConstraints;
   if (freshMode_) {
     t.satCore = freshSat_;
     t.blast = freshBlast_;
@@ -180,18 +292,18 @@ CheckResult SmtSolver::solveScratch(const std::vector<TermRef>& assumptions,
   for (const TermRef t : permanentAsserts_) {
     if (t.isFalse() || !scratchSat_.addUnit(scratchBb_.litFor(t))) bad = true;
   }
-  scratchLits_.clear();
+  lits_.clear();
   for (const TermRef t : assumptions) {
     if (t.isTrue()) continue;
     if (t.isFalse()) {
       bad = true;
       break;
     }
-    scratchLits_.push_back(scratchBb_.litFor(t));
+    lits_.push_back(scratchBb_.litFor(t));
   }
   CheckResult r = CheckResult::Unsat;
   if (!bad) {
-    switch (scratchSat_.solve(scratchLits_)) {
+    switch (scratchSat_.solve(lits_)) {
       case SatResult::Sat: r = CheckResult::Sat; break;
       case SatResult::Unsat: r = CheckResult::Unsat; break;
       case SatResult::Unknown: r = CheckResult::Unknown; break;
@@ -230,6 +342,164 @@ void SmtSolver::restoreModel(const std::vector<TermRef>& assumptions) {
   ++stats_.preModelRestores;
 }
 
+/// One query's handle on the cache that serves it: the "which cache" seam
+/// of checkImpl. The kinds differ only in the key, in how a hit's model
+/// reaches model_, and in where a verdict is stored:
+///   - none: fresh mode without a shared cache, or the local cache off.
+///   - local: the incremental solver's own map, keyed on the sorted set of
+///     assumption TermIds (hash-consing makes structurally equal
+///     assumptions share ids; order and duplicates do not matter).
+///   - shared: fresh mode's run-wide QueryCache, keyed canonically, with
+///     slot-indexed models. A miss makes this query the key's single-
+///     flight owner; the destructor abandons an owned key that was never
+///     published (Unknown, expired deadline or exception), so waiters
+///     retry with their own budget exactly as -j1 would.
+class SmtSolver::CacheSlot {
+ public:
+  CacheSlot(SmtSolver& s, const std::vector<TermRef>& assumptions) : s_(s) {
+    if (s.freshMode_ && s.sharedCache_ != nullptr) {
+      key_ = QueryCache::canonicalKey(s.permanentAsserts_, assumptions,
+                                      &slotVars_, &s.sortKeys_);
+      hit_ = s.sharedCache_->acquire(key_);
+      owner_ = !hit_.hit;
+      return;
+    }
+    if (s.freshMode_ || !s.cacheEnabled_) return;
+    std::vector<TermId>& ids = s.keyIds_;
+    ids.clear();
+    for (const TermRef t : assumptions) ids.push_back(t.id());
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    key_.resize(ids.size() * sizeof(TermId));
+    if (!ids.empty()) std::memcpy(key_.data(), ids.data(), key_.size());
+    local_ = true;
+    if (auto it = s.queryCache_.find(key_); it != s.queryCache_.end()) {
+      entry_ = &it->second;
+      hit_ = {true, entry_->result, {}, entry_->cost, entry_->hasModel,
+              entry_->preTag};
+    }
+  }
+  ~CacheSlot() {
+    if (owner_) s_.sharedCache_->abandon(key_);
+  }
+  CacheSlot(const CacheSlot&) = delete;
+  CacheSlot& operator=(const CacheSlot&) = delete;
+
+  /// The lookup's outcome: on a hit, the entry's verdict, canonical cost,
+  /// model presence and prefilter tag.
+  const QueryCache::Outcome& outcome() const { return hit_; }
+  /// A miss on a real cache (the telemetry miss counter's unit).
+  bool missed() const { return !hit_.hit && (local_ || owner_); }
+
+  /// Hit with a model: load it into model_. A slot-indexed model is
+  /// translated back to this pool's variables (slotVars_[i] is the Var
+  /// term behind α-slot i).
+  void replayModel() {
+    if (entry_ != nullptr) {
+      s_.model_ = entry_->model;
+      return;
+    }
+    s_.model_.clear();
+    const size_t n = std::min(slotVars_.size(), hit_.slotValues.size());
+    for (size_t i = 0; i < n; ++i) {
+      s_.model_[s_.tm_.varIndex(slotVars_[i].id())] = hit_.slotValues[i];
+    }
+  }
+
+  /// Hit on a model-less (prefiltered) Sat entry whose model was just
+  /// restored into model_: attach it, so later readers replay it.
+  void backfill() {
+    if (entry_ != nullptr) {
+      entry_->model = s_.model_;
+      entry_->hasModel = true;
+    } else {
+      s_.sharedCache_->backfillModel(key_, slotModel());
+    }
+  }
+
+  /// Store a miss's verdict (never Unknown); a Sat entry `withModel`
+  /// stores model_.
+  void publish(CheckResult r, const QueryCost& cost, uint8_t preTag,
+               bool withModel) {
+    const bool storeModel = r == CheckResult::Sat && withModel;
+    if (local_) {
+      CacheEntry e{r, {}, cost, withModel, preTag};
+      if (storeModel) e.model = s_.model_;
+      s_.queryCache_.emplace(std::move(key_), std::move(e));
+    } else if (owner_) {
+      owner_ = false;
+      s_.sharedCache_->publish(
+          key_, r, storeModel ? slotModel() : std::vector<uint64_t>{}, cost,
+          preTag, withModel);
+    }
+  }
+
+ private:
+  /// model_ rendered slot-indexed: the shared cache's model format.
+  std::vector<uint64_t> slotModel() const {
+    std::vector<uint64_t> values;
+    values.reserve(slotVars_.size());
+    for (const TermRef v : slotVars_) {
+      auto it = s_.model_.find(s_.tm_.varIndex(v.id()));
+      values.push_back(it == s_.model_.end() ? 0 : it->second);
+    }
+    return values;
+  }
+
+  SmtSolver& s_;
+  std::string key_;
+  bool local_ = false;
+  CacheEntry* entry_ = nullptr;  // local hit
+  std::vector<TermRef> slotVars_;
+  QueryCache::Outcome hit_;
+  bool owner_ = false;  // shared miss: this query must publish or abandon
+};
+
+CheckResult SmtSolver::solve(const std::vector<TermRef>& assumptions,
+                             telemetry::Clock& clk, uint64_t deadlineUs,
+                             QueryCost& cost) {
+  if (freshMode_) {
+    // The scratch core's stats for this query (reset zeroes them).
+    const CheckResult r =
+        solveScratch(assumptions, /*onBooks=*/true, &clk, deadlineUs);
+    if (r == CheckResult::Sat) captureModel(scratchBb_, scratchSat_);
+    cost.terms = scratchBb_.stats().termsBlasted;
+    cost.gates = scratchBb_.stats().gates;
+    cost.conflicts = scratchSat_.stats().conflicts;
+    return r;
+  }
+  // Incremental: the delta of the member core's stats over this solve.
+  sat_.setDeadline(deadlineUs != 0 ? &clk : nullptr, deadlineUs);
+  const uint64_t termsBefore = bb_.stats().termsBlasted;
+  const uint64_t gatesBefore = bb_.stats().gates;
+  const uint64_t conflictsBefore = sat_.stats().conflicts;
+  lits_.clear();
+  for (const TermRef t : assumptions) {
+    if (!t.isTrue()) lits_.push_back(bb_.litFor(t));
+  }
+  const SatResult raw = sat_.solve(lits_);
+  cost.terms = bb_.stats().termsBlasted - termsBefore;
+  cost.gates = bb_.stats().gates - gatesBefore;
+  cost.conflicts = sat_.stats().conflicts - conflictsBefore;
+  if (raw == SatResult::Unknown) return CheckResult::Unknown;
+  const CheckResult r =
+      raw == SatResult::Sat ? CheckResult::Sat : CheckResult::Unsat;
+  // Snapshot variable values immediately: any later incremental blast
+  // (even for model reads) unwinds the assignment trail.
+  if (r == CheckResult::Sat) captureModel(bb_, sat_);
+  if (paranoid_) {
+    const CheckResult fresh = checkFresh(assumptions);
+    if (fresh != CheckResult::Unknown && fresh != r) {
+      std::vector<TermRef> all = permanentAsserts_;
+      all.insert(all.end(), assumptions.begin(), assumptions.end());
+      throw Error(std::string("paranoid check: incremental=") +
+                  checkResultName(r) + " fresh=" + checkResultName(fresh) +
+                  "\n" + toSmtLib(all));
+    }
+  }
+  return r;
+}
+
 CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
                                  bool needModel) {
   fault::hit("solver.check");
@@ -240,14 +510,13 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
   // system clock otherwise.
   telemetry::Clock& clk =
       tel_ ? tel_->clock() : telemetry::Clock::system();
-  auto now = [&] { return clk.nowMicros(); };
-  const uint64_t startUs = now();
+  const uint64_t startUs = clk.nowMicros();
   bool cached = false;
   // Canonical cost of this query (QueryCost): measured on a miss, replayed
   // from the cache on a hit, zero on short-circuited checks.
   QueryCost cost;
   auto finish = [&](CheckResult r) {
-    const uint64_t us = now() - startUs;
+    const uint64_t us = clk.nowMicros() - startUs;
     stats_.totalMicros += us;
     stats_.maxMicros = std::max(stats_.maxMicros, us);
     switch (r) {
@@ -274,36 +543,9 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
     }
     return r;
   };
-
-  // Prefilter accounting (docs/absdomain.md): consult() judges a cache
-  // miss abstractly and files it in its verdict bucket; replayTag()
-  // re-plays a cached key's provenance so per-issuance hit/miss tallies
-  // are independent of which caller took the miss. Conclusive verdicts
-  // are counted once per judged key, exactly like qcache misses.
-  auto consult = [&]() {
-    const PreVerdict pv = pre_->judge(permanentAsserts_, assumptions);
-    ++stats_.preConsulted;
-    switch (pv.result) {
-      case CheckResult::Sat:
-        ++stats_.preSat;
-        ++stats_.preHitSeen;
-        if (preHitCtr_) preHitCtr_->add();
-        break;
-      case CheckResult::Unsat:
-        ++stats_.preUnsat;
-        ++stats_.preHitSeen;
-        stats_.preCoreConstraints += pv.coreConstraints;
-        if (preHitCtr_) preHitCtr_->add();
-        break;
-      case CheckResult::Unknown:
-        ++stats_.preFallback;
-        ++stats_.preMissSeen;
-        if (preMissCtr_) preMissCtr_->add();
-        break;
-    }
-    return pv.result;
-  };
-  auto replayTag = [&](uint8_t tag) {
+  // A hit replays its key's prefilter provenance, so per-issuance hit/miss
+  // tallies do not depend on which caller took the miss.
+  auto seen = [&](uint8_t tag) {
     if (tag == 1 || tag == 2) {
       ++stats_.preHitSeen;
       if (preHitCtr_) preHitCtr_->add();
@@ -313,203 +555,44 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
     }
   };
 
-  if (permanentlyUnsat_) {
+  // 1. Short-circuits, before any cache: a constant-false assumption has
+  // no canonical key (QueryCache::canonicalKey) and needs no solve.
+  bool constFalse = permanentlyUnsat_;
+  for (const TermRef t : assumptions) {
+    if (constFalse) break;
+    adlsym::check(t.width() == 1, "assumption must be width 1");
+    constFalse = t.isFalse();
+  }
+  if (constFalse) {
     ++stats_.preShortcircuit;
     return finish(CheckResult::Unsat);
   }
 
-  if (freshMode_) {
-    for (const TermRef t : assumptions) {
-      adlsym::check(t.width() == 1, "assumption must be width 1");
-      if (t.isFalse()) {
-        ++stats_.preShortcircuit;
-        return finish(CheckResult::Unsat);
+  // 2-3. Cache lookup; a hit replays the canonical cost, the provenance
+  // and the model. A prefiltered Sat entry carries no model: its first
+  // model-needing reader restores one off the books and backfills it.
+  CacheSlot slot(*this, assumptions);
+  if (const QueryCache::Outcome& hit = slot.outcome(); hit.hit) {
+    ++stats_.cacheHits;
+    cached = true;
+    cost = hit.cost;
+    if (cacheHitCtr_) cacheHitCtr_->add();
+    seen(hit.preTag);
+    if (hit.result == CheckResult::Sat) {
+      if (hit.hasModel) {
+        slot.replayModel();
+      } else if (needModel) {
+        restoreModel(assumptions);
+        slot.backfill();
       }
     }
-    uint64_t deadlineUs = 0;
-    if (queryTimeoutMicros_ != 0) deadlineUs = startUs + queryTimeoutMicros_;
-    if (wallDeadlineMicros_ != 0) {
-      deadlineUs = deadlineUs == 0 ? wallDeadlineMicros_
-                                   : std::min(deadlineUs, wallDeadlineMicros_);
-    }
-    if (deadlineUs != 0 && startUs >= deadlineUs) {
-      ++stats_.preShortcircuit;
-      return finish(CheckResult::Unknown);
-    }
-    // Fresh-solve cost is the scratch core's stats for this query (reset
-    // zeroes them); on a cache hit the stored cost is replayed.
-    auto solveFresh = [&] {
-      const CheckResult r =
-          solveScratch(assumptions, /*onBooks=*/true, &clk, deadlineUs);
-      if (r == CheckResult::Sat) captureModel(scratchBb_, scratchSat_);
-      cost.terms = scratchBb_.stats().termsBlasted;
-      cost.gates = scratchBb_.stats().gates;
-      cost.conflicts = scratchSat_.stats().conflicts;
-      return r;
-    };
-    if (sharedCache_ == nullptr) {
-      if (pre_ != nullptr) {
-        const CheckResult pv = consult();
-        if (pv == CheckResult::Unsat) return finish(pv);
-        if (pv == CheckResult::Sat) {
-          if (needModel) restoreModel(assumptions);
-          return finish(pv);
-        }
-      } else {
-        ++stats_.directSolves;
-      }
-      return finish(solveFresh());
-    }
-    // Shared-cache path: canonical key, single-flight solve-or-wait.
-    std::vector<TermRef> slotVars;
-    const std::string key = QueryCache::canonicalKey(
-        permanentAsserts_, assumptions, &slotVars, &sortKeys_);
-    // Slot-indexed rendering of model_, the publish/backfill format.
-    auto slotModel = [&] {
-      std::vector<uint64_t> slotValues;
-      slotValues.reserve(slotVars.size());
-      for (const TermRef v : slotVars) {
-        auto it = model_.find(tm_.varIndex(v.id()));
-        slotValues.push_back(it == model_.end() ? 0 : it->second);
-      }
-      return slotValues;
-    };
-    QueryCache::Outcome o = sharedCache_->acquire(key);
-    if (o.hit) {
-      ++cacheHits_;
-      cached = true;
-      cost = o.cost;
-      if (cacheHitCtr_) cacheHitCtr_->add();
-      replayTag(o.preTag);
-      if (o.result == CheckResult::Sat) {
-        if (o.hasModel) {
-          // Translate the slot-indexed canonical model back to this pool's
-          // variables (slotVars[i] is the Var term behind α-slot i).
-          model_.clear();
-          const size_t n = std::min(slotVars.size(), o.slotValues.size());
-          for (size_t i = 0; i < n; ++i) {
-            model_[tm_.varIndex(slotVars[i].id())] = o.slotValues[i];
-          }
-        } else if (needModel) {
-          // Prefiltered Sat entry, first model-needing reader: restore
-          // the canonical model off the books and backfill the entry so
-          // later readers replay it like any solved entry.
-          restoreModel(assumptions);
-          sharedCache_->backfillModel(key, slotModel());
-        }
-      }
-      return finish(o.result);
-    }
-    if (cacheMissCtr_) cacheMissCtr_->add();
-    uint8_t preTag = 0;
-    if (pre_ != nullptr) {
-      CheckResult pv;
-      try {
-        pv = consult();
-        if (pv == CheckResult::Sat && needModel) restoreModel(assumptions);
-      } catch (...) {
-        sharedCache_->abandon(key);
-        throw;
-      }
-      if (pv == CheckResult::Unsat) {
-        sharedCache_->publish(key, pv, {}, QueryCost{}, /*preTag=*/2,
-                              /*hasModel=*/true);
-        return finish(pv);
-      }
-      if (pv == CheckResult::Sat) {
-        // Canonical cost stays zero whether or not a restoration solve
-        // ran: the key is prefilter-decided, and its replayed cost must
-        // not depend on whether the miss-taker needed a model.
-        sharedCache_->publish(key, pv,
-                              needModel ? slotModel() : std::vector<uint64_t>{},
-                              QueryCost{}, /*preTag=*/1,
-                              /*hasModel=*/needModel);
-        return finish(pv);
-      }
-      preTag = 3;
-    } else {
-      ++stats_.directSolves;
-    }
-    CheckResult r;
-    try {
-      r = solveFresh();
-    } catch (...) {
-      sharedCache_->abandon(key);
-      throw;
-    }
-    if (r == CheckResult::Unknown) {
-      // Never cache Unknown: a waiter (or a later caller) retries with its
-      // own budget, exactly as -j1 would.
-      sharedCache_->abandon(key);
-    } else {
-      std::vector<uint64_t> slotValues;
-      if (r == CheckResult::Sat) slotValues = slotModel();
-      sharedCache_->publish(key, r, std::move(slotValues), cost, preTag);
-    }
-    return finish(r);
+    return finish(hit.result);
   }
+  if (cacheMissCtr_ && slot.missed()) cacheMissCtr_->add();
 
-  // Cache lookup. The key is the *sorted set* of assumption term ids:
-  // hash-consing makes structurally equal assumptions share ids, and
-  // order/duplicates don't affect satisfiability.
-  std::string cacheKey;
-  if (cacheEnabled_) {
-    std::vector<TermId> ids;
-    ids.reserve(assumptions.size());
-    for (const TermRef t : assumptions) ids.push_back(t.id());
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    cacheKey.resize(ids.size() * sizeof(TermId));
-    if (!ids.empty()) {
-      std::memcpy(cacheKey.data(), ids.data(), cacheKey.size());
-    }
-    if (auto it = queryCache_.find(cacheKey); it != queryCache_.end()) {
-      ++cacheHits_;
-      cached = true;
-      cost = it->second.cost;
-      if (cacheHitCtr_) cacheHitCtr_->add();
-      replayTag(it->second.preTag);
-      if (it->second.result == CheckResult::Sat) {
-        if (it->second.hasModel) {
-          model_ = it->second.model;
-        } else if (needModel) {
-          // Prefiltered Sat entry without a model: restore one off the
-          // books and backfill the entry for later readers.
-          restoreModel(assumptions);
-          it->second.model = model_;
-          it->second.hasModel = true;
-        }
-      }
-      return finish(it->second.result);
-    }
-    if (cacheMissCtr_) cacheMissCtr_->add();
-  }
-  // Incremental-solve cost: delta of the member core/blaster stats from
-  // just before the assumption literals are blasted (snapshots assigned
-  // below, once the deadline pre-check has passed).
-  uint64_t termsBefore = 0, gatesBefore = 0, conflictsBefore = 0;
-  uint8_t preTag = 0;
-  auto snapCost = [&] {
-    cost.terms = bb_.stats().termsBlasted - termsBefore;
-    cost.gates = bb_.stats().gates - gatesBefore;
-    cost.conflicts = sat_.stats().conflicts - conflictsBefore;
-  };
-  auto remember = [&](CheckResult r) {
-    snapCost();
-    if (cacheEnabled_ && r != CheckResult::Unknown) {
-      CacheEntry entry;
-      entry.result = r;
-      if (r == CheckResult::Sat) entry.model = model_;
-      entry.cost = cost;
-      entry.preTag = preTag;
-      queryCache_.emplace(std::move(cacheKey), std::move(entry));
-    }
-    return finish(r);
-  };
-
-  // Resolve this query's wall deadline: the per-query timeout (relative
-  // to query start) and the run-wide deadline (absolute, set by the
-  // explorer from its remaining maxWallSeconds), whichever is sooner.
+  // 4. Deadline: the per-query timeout (relative to query start) and the
+  // run-wide deadline (absolute, set by the explorer from its remaining
+  // maxWallSeconds), whichever is sooner. Already spent: don't blast.
   uint64_t deadlineUs = 0;
   if (queryTimeoutMicros_ != 0) deadlineUs = startUs + queryTimeoutMicros_;
   if (wallDeadlineMicros_ != 0) {
@@ -517,83 +600,53 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
                                  : std::min(deadlineUs, wallDeadlineMicros_);
   }
   if (deadlineUs != 0 && startUs >= deadlineUs) {
-    // The budget is already spent; don't even bit-blast.
     ++stats_.preShortcircuit;
     return finish(CheckResult::Unknown);
   }
-  // Prefilter consult, after every short-circuit off-mode would also
-  // take (so verdicts are identical with the prefilter on or off) and
-  // before any bit-blasting. Conclusive verdicts are cached with a zero
-  // canonical cost and skip the SAT core entirely; the incremental core
-  // never sees their literals.
+
+  // 5. Prefilter (docs/absdomain.md), after every short-circuit off-mode
+  // also takes (so verdicts are identical with the prefilter on or off)
+  // and before any bit-blasting. A conclusive verdict is counted once per
+  // judged key, like a cache miss, and published with a zero canonical
+  // cost whether or not a restoration solve ran: the key's replayed cost
+  // must not depend on whether the miss-taker needed a model.
+  uint8_t preTag = 0;
   if (pre_ != nullptr) {
-    const CheckResult pv = consult();
-    if (pv == CheckResult::Unsat) {
-      if (cacheEnabled_) {
-        CacheEntry entry;
-        entry.result = pv;
-        entry.preTag = 2;
-        queryCache_.emplace(std::move(cacheKey), std::move(entry));
-      }
-      return finish(pv);
+    const PreVerdict pv = pre_->judge(permanentAsserts_, assumptions);
+    ++stats_.preConsulted;
+    switch (pv.result) {
+      case CheckResult::Sat:
+        ++stats_.preSat;
+        preTag = 1;
+        break;
+      case CheckResult::Unsat:
+        ++stats_.preUnsat;
+        stats_.preCoreConstraints += pv.coreConstraints;
+        preTag = 2;
+        break;
+      case CheckResult::Unknown:
+        ++stats_.preFallback;
+        preTag = 3;
+        break;
     }
-    if (pv == CheckResult::Sat) {
-      if (needModel) restoreModel(assumptions);
-      if (cacheEnabled_) {
-        CacheEntry entry;
-        entry.result = pv;
-        entry.preTag = 1;
-        entry.hasModel = needModel;
-        if (needModel) entry.model = model_;
-        queryCache_.emplace(std::move(cacheKey), std::move(entry));
+    seen(preTag);
+    if (pv.result != CheckResult::Unknown) {
+      const bool withModel = pv.result == CheckResult::Unsat || needModel;
+      if (pv.result == CheckResult::Sat && needModel) {
+        restoreModel(assumptions);
       }
-      return finish(pv);
+      slot.publish(pv.result, QueryCost{}, preTag, withModel);
+      return finish(pv.result);
     }
-    preTag = 3;
   } else {
     ++stats_.directSolves;
   }
-  sat_.setDeadline(deadlineUs != 0 ? &clk : nullptr, deadlineUs);
-  termsBefore = bb_.stats().termsBlasted;
-  gatesBefore = bb_.stats().gates;
-  conflictsBefore = sat_.stats().conflicts;
 
-  std::vector<Lit> lits;
-  lits.reserve(assumptions.size());
-  for (const TermRef t : assumptions) {
-    adlsym::check(t.width() == 1, "assumption must be width 1");
-    if (t.isTrue()) continue;
-    if (t.isFalse()) return remember(CheckResult::Unsat);
-    lits.push_back(bb_.litFor(t));
-  }
-  const SatResult raw = sat_.solve(lits);
-  if (paranoid_ && raw != SatResult::Unknown) {
-    const CheckResult fresh = checkFresh(assumptions);
-    const CheckResult incr =
-        raw == SatResult::Sat ? CheckResult::Sat : CheckResult::Unsat;
-    if (fresh != CheckResult::Unknown && fresh != incr) {
-      std::vector<TermRef> all = permanentAsserts_;
-      all.insert(all.end(), assumptions.begin(), assumptions.end());
-      throw Error(std::string("paranoid check: incremental=") +
-                  (incr == CheckResult::Sat ? "sat" : "unsat") +
-                  " fresh=" + (fresh == CheckResult::Sat ? "sat" : "unsat") +
-                  "\n" + toSmtLib(all));
-    }
-  }
-  switch (raw) {
-    case SatResult::Sat: {
-      // Snapshot variable values immediately: any later incremental blast
-      // (even for model reads) unwinds the assignment trail.
-      captureModel(bb_, sat_);
-      return remember(CheckResult::Sat);
-    }
-    case SatResult::Unsat: return remember(CheckResult::Unsat);
-    case SatResult::Unknown:
-      snapCost();
-      return finish(CheckResult::Unknown);
-  }
-  snapCost();
-  return finish(CheckResult::Unknown);
+  // 6-7. Solve and publish. Unknown is never cached: a waiter (or a later
+  // caller) retries with its own budget.
+  const CheckResult r = solve(assumptions, clk, deadlineUs, cost);
+  if (r != CheckResult::Unknown) slot.publish(r, cost, preTag, true);
+  return finish(r);
 }
 
 uint64_t SmtSolver::modelValue(TermRef t) {

@@ -25,34 +25,30 @@ const char* checkResultName(CheckResult r);
 
 class PreSolver;  // smt/presolver.h
 
-/// One snapshot of the whole SMT stack's statistics: query-level stats,
-/// the SAT core, the bit-blaster and the query cache, aggregated so
-/// consumers read a single object instead of stitching stats()/satStats()/
-/// blastStats() together (the CLI stats printout and the JSON stats
-/// document are both rendered from this).
-struct SolverTelemetry {
+/// The query-level counters of one solver, declared once and shared by
+/// SmtSolver::Stats (the live record) and SolverTelemetry (the snapshot):
+/// a snapshot copies them in one statement and aggregates add them.
+struct QueryCounters {
   uint64_t queries = 0;
   uint64_t sat = 0;
   uint64_t unsat = 0;
   uint64_t unknown = 0;
   uint64_t totalMicros = 0;
   uint64_t maxMicros = 0;
-  uint64_t cacheHits = 0;
-  SatSolver::Stats satCore;
-  BitBlaster::Stats blast;
-  uint64_t satVars = 0;
-  uint64_t satClauses = 0;
-  /// Canonical (cache-replayed, schedule-independent) query cost totals;
-  /// the profiler's reconciliation targets (docs/observability.md).
+  uint64_t cacheHits = 0;  // served by the local or the shared cache
+  /// Canonical query cost totals (QueryCost): a miss adds its solve's
+  /// cost, a hit replays the stored one, and a prefilter-decided key costs
+  /// zero, so the totals do not depend on which caller took the miss.
+  /// Observers and the profiler read them (docs/observability.md).
   QueryCost canon;
 
   /// Abstract prefilter accounting (docs/absdomain.md). Every query lands
   /// in exactly one of four disjoint buckets: cacheHits, preShortcircuit
-  /// (resolved before cache or prefilter — permanently-unsat, constant-
-  /// false assumption, expired deadline), preConsulted (prefilter judged
-  /// it at a cache miss) and directSolves (missed with the prefilter
-  /// disabled). preSat/preUnsat/preFallback partition preConsulted.
-  bool preEnabled = false;
+  /// (resolved before any cache or prefilter — permanently-unsat,
+  /// constant-false assumption — or by an expired deadline at a cache
+  /// miss), preConsulted (prefilter judged it at a cache miss) and
+  /// directSolves (missed with the prefilter disabled).
+  /// preSat/preUnsat/preFallback partition preConsulted.
   uint64_t preConsulted = 0;
   uint64_t preSat = 0;
   uint64_t preUnsat = 0;
@@ -62,6 +58,25 @@ struct SolverTelemetry {
   /// Summed abstract-core sizes over conclusive-unsat verdicts: how many
   /// constraints the abstract explanation blamed, totalled per judged key.
   uint64_t preCoreConstraints = 0;
+
+  /// Sum another record into this one (maxMicros takes the maximum).
+  QueryCounters& operator+=(const QueryCounters& o);
+};
+
+/// One snapshot of the whole SMT stack's statistics: query-level stats,
+/// the SAT core, the bit-blaster and the query cache, aggregated so
+/// consumers read a single object instead of stitching stats()/satStats()/
+/// blastStats() together (the CLI stats printout and the JSON stats
+/// document are both rendered from this).
+struct SolverTelemetry : QueryCounters {
+  SatSolver::Stats satCore;
+  BitBlaster::Stats blast;
+  uint64_t satVars = 0;
+  uint64_t satClauses = 0;
+  bool preEnabled = false;
+
+  /// Fold one worker's snapshot into a run aggregate.
+  SolverTelemetry& operator+=(const SolverTelemetry& o);
 
   /// Hit rate over all queries (cached and solved), in [0,1].
   double cacheHitRate() const {
@@ -84,6 +99,12 @@ struct SolverTelemetry {
   std::string toJson() const;
   /// Human-readable two-line form used by `adlsym explore`.
   std::string format() const;
+
+  /// The "solver" section of a checkpoint (adlsym-ckpt-v1): every field
+  /// a resumed run treats as already-consumed baseline.
+  void writeCkpt(json::Writer& w) const;
+  /// Inverse of writeCkpt. Throws InputError on a missing field.
+  static SolverTelemetry readCkpt(const json::Value& v);
 };
 
 /// Capture hook for every SmtSolver::check: receives the full query (the
@@ -162,31 +183,11 @@ class SmtSolver {
   /// Keyed on the assumption set; Sat entries replay their model. On by
   /// default; switchable for the E4 ablation.
   void setQueryCacheEnabled(bool on) { cacheEnabled_ = on; }
-  uint64_t cacheHits() const { return cacheHits_; }
+  uint64_t cacheHits() const { return stats_.cacheHits; }
 
-  struct Stats {
-    uint64_t queries = 0;
-    uint64_t sat = 0;
-    uint64_t unsat = 0;
-    uint64_t unknown = 0;
-    uint64_t totalMicros = 0;
-    uint64_t maxMicros = 0;
-    /// Canonical per-query cost totals (see QueryCost): a cache miss adds
-    /// the fresh-solve cost, a hit *replays* the stored cost, so these
-    /// accumulate identically whichever caller took the miss. Observers
-    /// read deltas of these to attribute solver cost per branch site.
-    /// Keys the prefilter decided carry a canonical cost of zero — even
-    /// when a model-needing caller forced a restoration solve — so the
-    /// totals stay independent of which caller took the miss.
-    QueryCost canon;
-    /// Abstract-prefilter buckets; see SolverTelemetry for the invariants.
-    uint64_t preConsulted = 0;
-    uint64_t preSat = 0;
-    uint64_t preUnsat = 0;
-    uint64_t preFallback = 0;
-    uint64_t preShortcircuit = 0;
-    uint64_t directSolves = 0;
-    uint64_t preCoreConstraints = 0;
+  /// The live query counters (see QueryCounters) plus what never reaches
+  /// the stats document.
+  struct Stats : QueryCounters {
     /// Model restorations: needModel checks served by a model-less
     /// prefiltered Sat entry. Which issuance of a key pays the
     /// restoration is scheduling-dependent, so this never reaches the
@@ -283,8 +284,22 @@ class SmtSolver {
   const std::map<unsigned, ShapeRow>& queryShapes() const { return shapes_; }
 
  private:
+  /// The one query pipeline (docs/absdomain.md): short-circuits, cache
+  /// lookup and hit replay, deadline, prefilter, solve, publish. The
+  /// modes differ only in CacheSlot (which cache) and solve (which core).
   CheckResult checkImpl(const std::vector<TermRef>& assumptions,
                         bool needModel);
+
+  /// The "which cache" seam of checkImpl (defined in solver.cpp).
+  class CacheSlot;
+
+  /// The "which core" seam of checkImpl: solve on the incremental
+  /// sat_/bb_ pair (with the paranoid cross-check), or in fresh mode on
+  /// the reset scratch core. A Sat model lands in model_, and `cost` gets
+  /// the solve's canonical cost (Unknown verdicts included).
+  CheckResult solve(const std::vector<TermRef>& assumptions,
+                    telemetry::Clock& clk, uint64_t deadlineUs,
+                    QueryCost& cost);
 
   /// The one fresh-CNF path: reset the scratch core, blast the permanent
   /// asserts and then the assumptions into it, and solve. On the books
@@ -325,7 +340,7 @@ class SmtSolver {
   };
   bool cacheEnabled_ = true;
   std::unordered_map<std::string, CacheEntry> queryCache_;
-  uint64_t cacheHits_ = 0;
+  std::vector<TermId> keyIds_;  // the local cache key's sorted ids
   uint64_t queryTimeoutMicros_ = 0;
   uint64_t wallDeadlineMicros_ = 0;
   uint64_t conflictBudget_ = 0;
@@ -339,7 +354,7 @@ class SmtSolver {
   SatSolver scratchSat_;
   BitBlaster scratchBb_;
   telemetry::Telemetry* scratchTel_ = nullptr;  // attached to the scratch core
-  std::vector<Lit> scratchLits_;                // assumption literals
+  std::vector<Lit> lits_;  // assumption literals of the current solve
   // Aggregates of the scratch core's on-the-books solves in fresh mode
   // (the members sat_/bb_ sit unused there); telemetrySnapshot() reads
   // these instead.

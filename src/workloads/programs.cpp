@@ -204,6 +204,33 @@ PProgram progParse(unsigned records) {
   return p;
 }
 
+PProgram progAccum(unsigned forks) {
+  PProgram p;
+  p.in(0);
+  p.li(2, 0);
+  for (unsigned i = 0; i < forks; ++i) {
+    const std::string skip = formatStr("skip%u", i);
+    p.in(1);
+    p.beq(1, 2, skip);
+    p.add(0, 0, 1);
+    p.label(skip);
+  }
+  p.li(3, 0);
+  p.li(4, 255);
+  p.label("loop");
+  p.bgeu(3, 4, "done");
+  p.shli(1, 0, 1);
+  p.xorr(0, 0, 1);
+  p.add(0, 0, 3);
+  p.li(1, 1);
+  p.add(3, 3, 1);
+  p.jmp("loop");
+  p.label("done");
+  p.out(0);
+  p.halt(0);
+  return p;
+}
+
 PProgram progChecksum(unsigned n) {
   check(n >= 1 && n <= 32, "progChecksum: n out of range");
   PProgram p;

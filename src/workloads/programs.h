@@ -41,4 +41,11 @@ PProgram progChecksum(unsigned n);
 /// shape symbolic test generation is used for.
 PProgram progParse(unsigned records);
 
+/// `forks` symbolic branches, then a concrete 255-round loop folding the
+/// round counter into a symbolic accumulator: 2^forks paths. Every path
+/// mints ~800 fresh terms, so at forks=5 the term pools outgrow the
+/// smallest --mem-budget-mb (1 MiB) after a few dozen paths and the
+/// memory governor evicts.
+PProgram progAccum(unsigned forks);
+
 }  // namespace adlsym::workloads

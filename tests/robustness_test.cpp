@@ -460,6 +460,28 @@ TEST_F(CliRobustness, ParallelFrontierEvictionIsAccounted) {
       << doc;
 }
 
+TEST(CliGovernor, DrainedMemBudgetStopsSequentialAndOneWorker) {
+  // accum5 (`tools/workload_img accum5`) outgrows the smallest memory
+  // budget: eviction drains the last frontier state, and the run stops as
+  // "mem-budget" on the sequential engine and on one parallel worker.
+  const auto s = Session::forPortable(workloads::progAccum(5), "rv32e");
+  const std::string img = testing::TempDir() + "robust_accum5.img";
+  std::ofstream(img, std::ios::binary) << s->image().serialize();
+  for (const bool parallel : {false, true}) {
+    const std::string stats = testing::TempDir() + "robust_accum5.json";
+    std::vector<std::string> args = {"explore", "rv32e", img,
+                                     "--clock=manual", "--mem-budget-mb", "1",
+                                     "--stats-json=" + stats};
+    if (parallel) args.insert(args.end(), {"--jobs", "1"});
+    const auto r = driver::cli::dispatch(args);
+    EXPECT_EQ(r.exitCode, 3) << parallel << ": " << r.output;
+    const std::string doc = slurpFile(stats);
+    EXPECT_NE(doc.find("\"stop_reason\":\"mem-budget\""), std::string::npos)
+        << parallel << ": " << doc;
+    EXPECT_GT(jsonUint(doc, "states_truncated"), 0u) << parallel;
+  }
+}
+
 TEST_F(CliRobustness, ParallelRejectsIncompatibleModes) {
   using driver::cli::dispatch;
   const auto merge =

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -417,23 +418,27 @@ TEST(RtlcProfile, StatementCountsIdenticalAcrossEngines) {
   // the emitted adlsym-profile-v2 rows — must match the walker's exactly.
   for (const std::string& isa : isa::allIsaNames()) {
     const workloads::PProgram prog = workloads::progParse(2);
+    // Declared before the sessions: a profile must outlive the executor
+    // it is attached to, whose destructor flushes into it.
+    std::optional<core::RtlProfile> profI;
+    std::optional<core::RtlProfile> profB;
     auto si =
         Session::forPortable(prog, isa, engineOptions(AdlEngineKind::Interp));
     auto sb =
         Session::forPortable(prog, isa, engineOptions(AdlEngineKind::Bytecode));
-    core::RtlProfile profI(si->model());
-    core::RtlProfile profB(sb->model());
-    si->executor().setRtlProfile(&profI);
-    sb->executor().setRtlProfile(&profB);
+    profI.emplace(si->model());
+    profB.emplace(sb->model());
+    si->executor().setRtlProfile(&*profI);
+    sb->executor().setRtlProfile(&*profB);
     const auto sumI = si->explore();
     const auto sumB = sb->explore();
     si->executor().flushRtlProfile();
     sb->executor().flushRtlProfile();
     EXPECT_EQ(fingerprint(sumI), fingerprint(sumB)) << isa;
-    ASSERT_EQ(profI.size(), profB.size()) << isa;
-    EXPECT_EQ(profI.counts(), profB.counts()) << isa;
-    EXPECT_EQ(profI.total(), profB.total()) << isa;
-    EXPECT_GT(profB.total(), 0u) << isa;
+    ASSERT_EQ(profI->size(), profB->size()) << isa;
+    EXPECT_EQ(profI->counts(), profB->counts()) << isa;
+    EXPECT_EQ(profI->total(), profB->total()) << isa;
+    EXPECT_GT(profB->total(), 0u) << isa;
     // Profiling gates fusing (ticks must land per-statement, per-step).
     EXPECT_EQ(bytecodeOf(*sb).fusionStats().superblocks, 0u) << isa;
   }

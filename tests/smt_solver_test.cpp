@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "smt/presolver.h"
 #include "smt/solver.h"
 #include "support/bits.h"
@@ -174,6 +176,103 @@ TEST_F(SolverTest, QueryCacheCanBeDisabled) {
   ASSERT_EQ(s.check({q}), CheckResult::Sat);
   ASSERT_EQ(s.check({q}), CheckResult::Sat);
   EXPECT_EQ(s.cacheHits(), 0u);
+}
+
+// ---- one query pipeline under every solver configuration ---------------
+
+enum class Mode { Incremental, Fresh, FreshShared };
+
+TEST(SolverModes, EveryConfigurationGivesTheSameVerdicts) {
+  // {incremental, fresh, fresh + shared QueryCache} x {prefilter on, off}
+  // x {check, checkNoModel}: one query list issued twice, so every cache
+  // kind sees misses on the first pass and only hits on the repeat.
+  TermManager tm;
+  const TermRef x = tm.mkVar(8, "x");
+  const TermRef y = tm.mkVar(8, "y");
+  auto k = [&](uint64_t v) { return tm.mkConst(8, v); };
+  const TermRef perm = tm.mkNe(y, k(0));
+  // Pairwise distinct under both the sorted-id and the canonical key.
+  const std::vector<std::vector<TermRef>> queries = {
+      {tm.mkUlt(x, k(5))},
+      {tm.mkUlt(x, k(5)), tm.mkUgt(x, k(10))},
+      {tm.mkEq(tm.mkMul(x, y), k(91)), tm.mkUgt(x, k(1)), tm.mkUgt(y, k(1))},
+      {tm.mkEq(tm.mkMul(x, k(2)), k(7))},
+      {tm.mkEq(tm.mkAdd(x, y), k(3)), tm.mkEq(tm.mkXor(x, y), k(1))},
+      {tm.mkEq(y, k(0))},
+      {},
+      {tm.mkUlt(x, k(5)), tm.mkFalse()},  // short-circuited, never cached
+  };
+  const uint64_t cacheable = queries.size() - 1;
+  std::vector<CheckResult> expected;
+  for (const Mode mode : {Mode::Incremental, Mode::Fresh, Mode::FreshShared}) {
+    for (const bool prefilter : {true, false}) {
+      for (const bool needModel : {true, false}) {
+        SCOPED_TRACE(testing::Message()
+                     << "mode " << int(mode) << " prefilter " << prefilter
+                     << " needModel " << needModel);
+        SmtSolver s(tm);
+        PreSolver pre(tm);
+        QueryCache shared;
+        s.assertAlways(perm);
+        s.setFreshMode(mode != Mode::Incremental);
+        if (mode == Mode::FreshShared) s.setSharedCache(&shared);
+        if (prefilter) s.setPreSolver(&pre);
+        std::vector<CheckResult> verdicts;
+        for (int pass = 0; pass < 2; ++pass) {
+          for (const auto& q : queries) {
+            const CheckResult r = needModel ? s.check(q) : s.checkNoModel(q);
+            verdicts.push_back(r);
+            if (needModel && r == CheckResult::Sat) {
+              EXPECT_EQ(s.modelValue(perm), 1u);
+              for (const TermRef a : q) EXPECT_EQ(s.modelValue(a), 1u);
+            }
+          }
+          EXPECT_EQ(s.cacheHits(),
+                    pass == 0 || mode == Mode::Fresh ? 0u : cacheable)
+              << "pass " << pass;
+        }
+        const SolverTelemetry t = s.telemetrySnapshot();
+        EXPECT_TRUE(t.prefilterReconciled());
+        EXPECT_EQ(t.preShortcircuit, 2u);
+        EXPECT_EQ(t.preConsulted > 0, prefilter);
+        if (expected.empty()) {
+          expected = verdicts;
+        } else {
+          EXPECT_EQ(verdicts, expected);
+        }
+      }
+    }
+  }
+  EXPECT_NE(std::count(expected.begin(), expected.end(), CheckResult::Sat), 0);
+  EXPECT_NE(std::count(expected.begin(), expected.end(), CheckResult::Unsat),
+            0);
+}
+
+TEST(SolverModes, ModelReaderRestoresAndBackfillsPrefilteredEntries) {
+  // A checkNoModel miss the prefilter decides Sat caches no model; the
+  // first check() of that key restores one and backfills the entry, so a
+  // second check() replays the same model from the cache.
+  TermManager tm;
+  const TermRef x = tm.mkVar(8, "x");
+  const std::vector<TermRef> q = {tm.mkUlt(x, tm.mkConst(8, 5))};
+  for (const Mode mode : {Mode::Incremental, Mode::FreshShared}) {
+    SmtSolver s(tm);
+    PreSolver pre(tm);
+    QueryCache shared;
+    s.setFreshMode(mode != Mode::Incremental);
+    if (mode == Mode::FreshShared) s.setSharedCache(&shared);
+    s.setPreSolver(&pre);
+    ASSERT_EQ(s.checkNoModel(q), CheckResult::Sat);
+    ASSERT_EQ(s.stats().preSat, 1u);
+    ASSERT_EQ(s.check(q), CheckResult::Sat);
+    EXPECT_EQ(s.stats().preModelRestores, 1u);
+    const uint64_t v = s.modelValue(x);
+    EXPECT_LT(v, 5u);
+    ASSERT_EQ(s.check(q), CheckResult::Sat);
+    EXPECT_EQ(s.stats().preModelRestores, 1u);  // replayed, not restored
+    EXPECT_EQ(s.modelValue(x), v);
+    EXPECT_EQ(s.cacheHits(), 2u);
+  }
 }
 
 // ---- the reused scratch core answers like a new solver per query -------

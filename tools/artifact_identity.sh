@@ -14,6 +14,12 @@
 #         tools/stats_strip, which drops the timing-bearing metrics block
 #   seq-S, j4-S  the seq and j4 shapes under --strategy S (bfs, random,
 #         coverage)
+#   seq-nopre, j4-nopre  the seq and j4 shapes under --prefilter=off
+#   j4-noqc  the j4 shape under --qcache=off
+# Together the seq, j4, *-nopre and j4-noqc shapes reach every solver
+# path: the incremental core with the solver-local cache, fresh solves
+# with the shared query cache and fresh solves with no cache, each with
+# the abstract prefilter on and off.
 # and every governor case below runs on every ISA in three shapes:
 #   seq   as above, and its stats must show truncated paths (the budget
 #         really fired)
@@ -128,11 +134,19 @@ for prog in bitcount3 max3 checksum2 parse2 earlyexit4; do
       run "$build" "$base-j4" "$isa" "${full[@]}" --jobs 4
       run "$build" "$base-ck1" "$isa" "${ckpt[@]}" --jobs 1
       run "$build" "$base-ck4" "$isa" "${ckpt[@]}" --jobs 4
+      run "$build" "$base-seq-nopre" "$isa" "${full[@]}" --query-log=qlog \
+        --prefilter=off
+      run "$build" "$base-j4-nopre" "$isa" "${full[@]}" --jobs 4 \
+        --prefilter=off
+      run "$build" "$base-j4-noqc" "$isa" "${full[@]}" --jobs 4 --qcache=off
     done
     compare "$prog-$isa-seq" 0 0
     compare "$prog-$isa-j4" 1 1
     compare "$prog-$isa-ck1" 1 0
     compare "$prog-$isa-ck4" 1 1
+    compare "$prog-$isa-seq-nopre" 0 0
+    compare "$prog-$isa-j4-nopre" 1 1
+    compare "$prog-$isa-j4-noqc" 1 1
     for strategy in bfs random coverage; do
       for side in old new; do
         build=$old

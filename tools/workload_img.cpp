@@ -12,51 +12,35 @@
 
 namespace {
 
-/// `forks` symbolic branches, then a concrete 255-round loop folding the
-/// round counter into a symbolic accumulator. Every path mints ~800 fresh
-/// terms, so the term pools outgrow the smallest --mem-budget-mb (1 MiB)
-/// after a few dozen paths and the memory governor evicts.
-adlsym::workloads::PProgram progAccum(unsigned forks) {
-  adlsym::workloads::PProgram p;
-  p.in(0);
-  p.li(2, 0);
-  for (unsigned i = 0; i < forks; ++i) {
-    const std::string skip = "skip" + std::to_string(i);
-    p.in(1);
-    p.beq(1, 2, skip);
-    p.add(0, 0, 1);
-    p.label(skip);
-  }
-  p.li(3, 0);
-  p.li(4, 255);
-  p.label("loop");
-  p.bgeu(3, 4, "done");
-  p.shli(1, 0, 1);
-  p.xorr(0, 0, 1);
-  p.add(0, 0, 3);
-  p.li(1, 1);
-  p.add(3, 3, 1);
-  p.jmp("loop");
-  p.label("done");
-  p.out(0);
-  p.halt(0);
-  return p;
-}
+namespace wl = adlsym::workloads;
 
-adlsym::workloads::PProgram byName(const std::string& name) {
-  using namespace adlsym::workloads;
-  if (name == "bitcount3") return progBitcount(3);
-  if (name == "earlyexit4") return progEarlyExit(4);
-  if (name == "max3") return progMax(3);
-  if (name == "checksum2") return progChecksum(2);
-  if (name == "parse2") return progParse(2);
-  if (name == "accum5") return progAccum(5);
-  for (DefectCase& c : defectSuite()) {
+/// The named portable workloads: the one list both the lookup and the
+/// error message read.
+struct Named {
+  const char* name;
+  wl::PProgram (*make)();
+};
+const Named kWorkloads[] = {
+    {"bitcount3", [] { return wl::progBitcount(3); }},
+    {"earlyexit4", [] { return wl::progEarlyExit(4); }},
+    {"max3", [] { return wl::progMax(3); }},
+    {"checksum2", [] { return wl::progChecksum(2); }},
+    {"parse2", [] { return wl::progParse(2); }},
+    {"accum5", [] { return wl::progAccum(5); }},
+};
+
+wl::PProgram byName(const std::string& name) {
+  std::string names;
+  for (const Named& w : kWorkloads) {
+    if (name == w.name) return w.make();
+    names += names.empty() ? "" : "|";
+    names += w.name;
+  }
+  for (wl::DefectCase& c : wl::defectSuite()) {
     if (c.name == name) return std::move(c.program);
   }
-  throw adlsym::InputError("unknown workload '" + name +
-                           "' (want bitcount3|earlyexit4|max3|checksum2|"
-                           "parse2|bitcount10|sort4 or a defect-suite case)");
+  throw adlsym::InputError("unknown workload '" + name + "' (want " + names +
+                           " or a defect-suite case)");
 }
 
 }  // namespace
