@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -51,6 +52,21 @@ CommandResult fail(std::string msg) {
   return CommandResult{2, std::move(msg) + "\n"};
 }
 
+/// Writes one output artifact: one `obs.write` fault hit, a truncating
+/// open, then `write(out)`. Returns "" on success (or when `path` is
+/// empty, the flag not given) and the error message when the file cannot
+/// be opened.
+template <typename Fn>
+std::string writeArtifact(const std::string& path, const char* what,
+                          Fn write) {
+  if (path.empty()) return "";
+  fault::hit("obs.write");
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return "cannot open " + std::string(what) + " file '" + path + "'";
+  write(out);
+  return "";
+}
+
 /// Per-command telemetry plumbing for the --stats-json flag: owns the
 /// bundle. `get()` is null when the flag was not given (and no manual
 /// clock was requested), so the engine stays on its zero-cost path.
@@ -81,22 +97,20 @@ class CommandTelemetry {
   template <typename Fn>
   void writeStatsJson(const std::string& command, const std::string& isa,
                       Fn writeBody) {
-    if (statsJsonPath_.empty()) return;
-    fault::hit("obs.write");
-    std::ofstream out(statsJsonPath_, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw InputError("cannot open stats file '" + statsJsonPath_ + "'");
-    }
-    json::Writer w(out);
-    w.beginObject();
-    w.kv("schema", "adlsym-stats-v8");
-    w.kv("command", std::string_view(command));
-    w.kv("isa", std::string_view(isa));
-    writeBody(w);
-    w.key("metrics");
-    tel_->metrics().writeJson(w);
-    w.endObject();
-    out << '\n';
+    const std::string err =
+        writeArtifact(statsJsonPath_, "stats", [&](std::ostream& out) {
+          json::Writer w(out);
+          w.beginObject();
+          w.kv("schema", "adlsym-stats-v8");
+          w.kv("command", std::string_view(command));
+          w.kv("isa", std::string_view(isa));
+          writeBody(w);
+          w.key("metrics");
+          tel_->metrics().writeJson(w);
+          w.endObject();
+          out << '\n';
+        });
+    if (!err.empty()) throw InputError(err);
   }
 
  private:
@@ -115,28 +129,6 @@ std::string readFileOrThrow(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
-}
-
-/// Writes the --profile / --profile-folded artifacts; returns an error
-/// message ("" on success) so cmdExplore maps it to exit code 2.
-std::string writeProfileArtifacts(const obs::ProfileReport& rep,
-                                  const ExploreOptions& opt) {
-  if (!opt.profilePath.empty()) {
-    fault::hit("obs.write");
-    std::ofstream out(opt.profilePath, std::ios::binary | std::ios::trunc);
-    if (!out) return "cannot open profile file '" + opt.profilePath + "'";
-    rep.writeJson(out);
-  }
-  if (!opt.profileFoldedPath.empty()) {
-    fault::hit("obs.write");
-    std::ofstream out(opt.profileFoldedPath,
-                      std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return "cannot open profile-folded file '" + opt.profileFoldedPath + "'";
-    }
-    rep.writeFolded(out);
-  }
-  return "";
 }
 
 /// Decodable instruction count over the image's non-writable sections —
@@ -238,34 +230,148 @@ struct FlightRecorder {
   }
 };
 
-/// Write the adlsym-run-v1 manifest recording every artifact this run
-/// produced. Called after all artifact streams are closed; throws
-/// adlsym::InputError (exit 2) when an artifact is unreadable or the
-/// manifest path is unwritable.
-void writeRunManifest(const std::string& isaName, const ExploreOptions& opt) {
-  if (opt.manifestPath.empty()) return;
-  fault::hit("obs.write");
-  obs::RunManifest man;
-  man.command = opt.profileStdout ? "profile" : "explore";
-  man.isa = isaName;
-  man.strategy = opt.strategy;
-  man.program = opt.programLabel;
-  man.argv = opt.argvEcho;
-  man.addArtifact("stats", opt.statsJsonPath);
-  man.addArtifact("forest", opt.pathForestPath);
-  man.addArtifact("forest_dot", opt.pathDotPath);
-  man.addArtifact("profile", opt.profilePath);
-  man.addArtifact("profile_folded", opt.profileFoldedPath);
-  if (opt.eventsPath != "-") man.addArtifact("events", opt.eventsPath);
-  man.addArtifact("checkpoint", opt.checkpointPath);
-  man.writeFile(opt.manifestPath);
+/// Every subcommand's flag values: the option table's rows point into it.
+/// `explore` and `profile` take the ExploreOptions part; lint, run, tail
+/// and `events summarize` copy out the fields they read.
+struct AllOptions : ExploreOptions {
+  bool lintJson = false;        // lint --format
+  bool werror = false;          // lint --werror
+  bool noFollow = false;        // tail --no-follow
+  double maxWaitSeconds = 0.0;  // tail --max-wait
+  std::string statsPath;        // events summarize --stats
+};
+
+/// How a flag's value is read (docs/cli.md, "Spelling").
+enum Kind : uint8_t {
+  kSwitch,   // no value: sets `on`
+  kCount,    // an integer in [min, max] into `count`
+  kSeconds,  // finite seconds in (0, 1e9] into `seconds`
+  kPath,     // a non-empty path into `text`
+  kChoice,   // one of `words`: the word into `text`, its index != 0 into
+             // `on`; with a `count`, a number sets `count` and `on`, and
+             // a word resets `count` to 0
+  kText,     // any word into `text`, checked where it is used
+};
+
+/// The subcommands a flag belongs to.
+enum Cmd : uint8_t {
+  kLint = 1, kRun = 2, kExplore = 4, kTail = 8, kEvents = 16
+};
+
+/// One row of the option table.
+struct Flag {
+  const char* name;
+  Kind kind;
+  uint8_t cmds = kExplore;
+  bool AllOptions::*on = nullptr;
+  uint64_t AllOptions::*count = nullptr;
+  double AllOptions::*seconds = nullptr;
+  std::string AllOptions::*text = nullptr;
+  uint64_t min = 0, max = UINT64_MAX;  // min > 0 rejects 0
+  const char* words = nullptr;         // '|'-separated
+  /// The bare flag's value; a flag with one takes another only attached.
+  const char* bare = nullptr;
+  const char* value = nullptr;     // usage()'s value name, if not the kind's
+  const char* artifact = nullptr;  // the path's role in the run manifest
+  const char* help = "";
+};
+
+using O = AllOptions;
+/// The one option table: the parser, usage() and the run manifest read
+/// it. The manifest lists artifact paths in table order.
+constexpr Flag kFlags[] = {
+    {.name = "--format", .kind = kChoice, .cmds = kLint, .on = &O::lintJson,
+     .words = "text|json", .help = "output rendering (default text)"},
+    {.name = "--werror", .kind = kSwitch, .cmds = kLint, .on = &O::werror,
+     .help = "warning findings also fail the exit code"},
+    {.name = "--strategy", .kind = kChoice, .text = &O::strategy,
+     .words = "dfs|bfs|random|coverage", .help = "search order (default dfs)"},
+    {.name = "--max-paths", .kind = kCount, .count = &O::maxPaths,
+     .help = "completed-path budget (default 10000)"},
+    {.name = "--max-steps", .kind = kCount, .count = &O::maxTotalSteps,
+     .help = "total instruction budget (default 1000000)"},
+    {.name = "--first-defect", .kind = kSwitch, .on = &O::stopAtFirstDefect,
+     .help = "stop at the first defect"},
+    {.name = "--merge", .kind = kSwitch, .on = &O::mergeStates,
+     .help = "veritesting state merging"},
+    {.name = "--coverage", .kind = kSwitch, .on = &O::coverageReport,
+     .help = "per-instruction coverage report"},
+    {.name = "--lint", .kind = kSwitch, .on = &O::lint,
+     .help = "lint model and image first; errors abort"},
+    {.name = "--prefilter", .kind = kChoice, .on = &O::prefilterOn,
+     .words = "off|on", .help = "abstract pre-solver (default on)"},
+    {.name = "--engine", .kind = kChoice, .text = &O::engine,
+     .words = "bytecode|interp", .help = "ADL engine (default bytecode)"},
+    {.name = "--jobs", .kind = kCount, .count = &O::jobs, .min = 1, .max = 64,
+     .help = "parallel engine with N worker threads"},
+    {.name = "--qcache", .kind = kChoice, .on = &O::qcacheOn,
+     .count = &O::qcacheCapacity, .min = 1, .words = "off|on",
+     .help = "parallel engine's shared query cache (N = capacity)"},
+    {.name = "--max-frontier", .kind = kCount, .count = &O::maxFrontier,
+     .min = 1, .help = "frontier cap; evicted states end truncated"},
+    {.name = "--mem-budget-mb", .kind = kCount, .count = &O::memBudgetMb,
+     .min = 1, .help = "approximate state+term byte budget in MiB"},
+    {.name = "--solver-timeout-ms", .kind = kCount,
+     .count = &O::solverTimeoutMs,
+     .help = "per-query solver deadline (0 = none)"},
+    {.name = "--max-wall-ms", .kind = kCount, .count = &O::maxWallMs,
+     .help = "whole-run wall budget (0 = none)"},
+    {.name = "--inject", .kind = kText, .text = &O::injectSpec,
+     .value = "SITE:N[,..]", .help = "fire a fault site on its Nth hit"},
+    {.name = "--clock=manual", .kind = kCount, .count = &O::manualClockStepUs,
+     .min = 1, .bare = "1", .value = "US",
+     .help = "deterministic clock, US microseconds per read"},
+    {.name = "--stats-json", .kind = kPath, .cmds = kLint | kRun | kExplore,
+     .text = &O::statsJsonPath, .artifact = "stats",
+     .help = "aggregated JSON stats document"},
+    {.name = "--path-forest", .kind = kPath, .text = &O::pathForestPath,
+     .artifact = "forest", .help = "path forest as adlsym-pathforest-v1 JSON"},
+    {.name = "--path-dot", .kind = kPath, .text = &O::pathDotPath,
+     .artifact = "forest_dot", .help = "path forest as Graphviz DOT"},
+    {.name = "--query-log", .kind = kPath, .text = &O::queryLogDir,
+     .value = "<dir>", .help = "every solver query as SMT-LIB (adlsym replay)"},
+    {.name = "--progress", .kind = kSeconds, .seconds = &O::progressSeconds,
+     .bare = "1", .help = "heartbeat on stderr every S seconds"},
+    {.name = "--profile", .kind = kPath, .text = &O::profilePath,
+     .artifact = "profile", .help = "adlsym-profile-v2 cost attribution"},
+    {.name = "--profile-folded", .kind = kPath, .text = &O::profileFoldedPath,
+     .artifact = "profile_folded", .help = "collapsed stacks for flamegraphs"},
+    {.name = "--events", .kind = kPath, .text = &O::eventsPath,
+     .value = "<file|->", .artifact = "events",
+     .help = "adlsym-events-v1 event stream (- = stdout)"},
+    {.name = "--events-snapshot", .kind = kCount,
+     .count = &O::eventsSnapshotEvery,
+     .help = "snapshot every N step events (0 = never)"},
+    {.name = "--manifest", .kind = kPath, .text = &O::manifestPath,
+     .help = "adlsym-run-v1 manifest of every artifact"},
+    {.name = "--checkpoint", .kind = kPath, .text = &O::checkpointPath,
+     .artifact = "checkpoint",
+     .help = "adlsym-ckpt-v1 checkpoint; needs --clock=manual"},
+    {.name = "--checkpoint-every", .kind = kCount,
+     .count = &O::checkpointEverySteps,
+     .help = "checkpoint cadence in per-path steps (0 = at the end)"},
+    {.name = "--resume", .kind = kPath, .text = &O::resumePath,
+     .help = "continue a checkpointed run"},
+    {.name = "--no-follow", .kind = kSwitch, .cmds = kTail, .on = &O::noFollow,
+     .help = "render the stream once and exit"},
+    {.name = "--max-wait", .kind = kSeconds, .cmds = kTail,
+     .seconds = &O::maxWaitSeconds,
+     .help = "give up after S seconds without run_end"},
+    {.name = "--stats", .kind = kPath, .cmds = kEvents, .text = &O::statsPath,
+     .help = "cross-check against the run's stats document"},
+};
+
+/// What separates a flag's name from an attached value: '=', or ':' for a
+/// name that already holds one (`--clock=manual:US`).
+char separator(const Flag& f) {
+  return std::strchr(f.name, '=') != nullptr ? ':' : '=';
 }
 
 /// A count-valued option: a non-negative integer (parseInt alone would
 /// read "-5" as 2^64-5) in [min, max], where `min` keeps the flag's rule
 /// for 0. Throws adlsym::InputError (exit 2) on anything else.
 uint64_t parseCount(const std::string& flag, std::string_view text,
-                    uint64_t min = 0, uint64_t max = UINT64_MAX) {
+                    uint64_t min, uint64_t max) {
   const auto v = trim(text).starts_with('-') ? std::nullopt : parseInt(text);
   if (!v || *v < min || *v > max) {
     std::string msg = "bad " + flag + " value '" + std::string(text) + "'";
@@ -290,20 +396,98 @@ double parseSeconds(const std::string& flag, const std::string& text) {
   return v;
 }
 
-/// The value of a path-valued option `arg` = "<flag>=<path>". Throws
-/// adlsym::InputError (exit 2) when the path is empty.
-std::string pathValue(const std::string& arg, const std::string& flag) {
-  std::string v = arg.substr(flag.size() + 1);
-  if (v.empty()) throw InputError("empty path for " + flag);
-  return v;
+/// Stores `value` for `f` into `o` by the row's kind. Throws
+/// adlsym::InputError (exit 2) on a bad value; `cmd` names the subcommand
+/// in the message for a word a Choice does not list.
+void storeValue(const Flag& f, const std::string& value, AllOptions& o,
+                const std::string& cmd) {
+  const std::string name = f.name;
+  switch (f.kind) {
+    case kSwitch: o.*f.on = true; return;
+    case kCount: o.*f.count = parseCount(name, value, f.min, f.max); return;
+    case kSeconds: o.*f.seconds = parseSeconds(name, value); return;
+    case kPath:
+      if (value.empty()) throw InputError("empty path for " + name);
+      [[fallthrough]];
+    case kText: o.*f.text = value; return;
+    case kChoice: {
+      const std::vector<std::string> words = splitString(f.words, '|');
+      const auto w = std::find(words.begin(), words.end(), value);
+      if (w != words.end()) {
+        if (f.on != nullptr) o.*f.on = w != words.begin();
+        if (f.text != nullptr) o.*f.text = value;
+        if (f.count != nullptr) o.*f.count = 0;
+      } else if (f.count != nullptr) {
+        o.*f.count = parseCount(name, value, f.min, f.max);
+        o.*f.on = true;
+      } else {
+        throw InputError("unknown " + cmd + " option '" + name + "=" + value +
+                         "' (" + name + " takes " + f.words + ")");
+      }
+      return;
+    }
+  }
 }
 
-/// The value of a space-separated option args[i], advancing i past it.
-/// Throws adlsym::InputError (exit 2) when the option is the last word.
-const std::string& nextValue(const std::vector<std::string>& args,
-                             size_t& i) {
-  if (i + 1 >= args.size()) throw InputError("missing value for " + args[i]);
-  return args[++i];
+/// The one argument loop: parses args[first..] for subcommand `cmd` (a
+/// Cmd bit) into `o` and returns the words not starting with "--" in
+/// order. Throws adlsym::InputError (exit 2) on an unknown flag, a
+/// missing value or a bad one.
+std::vector<std::string> parseArgs(const std::vector<std::string>& args,
+                                   size_t first, uint8_t cmd, AllOptions& o) {
+  std::vector<std::string> pos;
+  for (size_t i = first; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    if (!arg.starts_with("--")) {
+      pos.push_back(arg);
+      continue;
+    }
+    const Flag* f = std::find_if(
+        std::begin(kFlags), std::end(kFlags), [&](const Flag& row) {
+          const size_t n = std::strlen(row.name);
+          return (row.cmds & cmd) != 0 && arg.starts_with(row.name) &&
+                 (arg.size() == n ||
+                  (row.kind != kSwitch && arg[n] == separator(row)));
+        });
+    if (f == std::end(kFlags)) {
+      throw InputError("unknown " + args[0] + " option '" + arg + "'");
+    }
+    std::string value;
+    if (arg.size() > std::strlen(f->name)) {
+      value = arg.substr(std::strlen(f->name) + 1);
+    } else if (f->bare != nullptr) {
+      value = f->bare;
+    } else if (f->kind != kSwitch) {
+      if (i + 1 == args.size()) throw InputError("missing value for " + arg);
+      value = args[++i];
+    }
+    storeValue(*f, value, o, args[0]);
+  }
+  return pos;
+}
+
+/// Write the adlsym-run-v1 manifest recording every artifact this run
+/// produced (the table's rows with an artifact role). Called after all
+/// artifact streams are closed; throws adlsym::InputError (exit 2) when
+/// an artifact is unreadable or the manifest path is unwritable.
+void writeRunManifest(const std::string& isaName, const ExploreOptions& opt) {
+  if (opt.manifestPath.empty()) return;
+  fault::hit("obs.write");
+  obs::RunManifest man;
+  man.command = opt.profileStdout ? "profile" : "explore";
+  man.isa = isaName;
+  man.strategy = opt.strategy;
+  man.program = opt.programLabel;
+  man.argv = opt.argvEcho;
+  for (const Flag& f : kFlags) {
+    if (f.artifact == nullptr) continue;
+    // Every artifact row names an ExploreOptions field, so the cast back
+    // to the base's member pointer is exact.
+    const std::string& path =
+        opt.*static_cast<std::string ExploreOptions::*>(f.text);
+    if (path != "-") man.addArtifact(f.artifact, path);
+  }
+  man.writeFile(opt.manifestPath);
 }
 
 /// --resume events splice: check that the first `offset` bytes of the
@@ -341,7 +525,7 @@ void spliceEventsFile(const std::string& path, const json::Value& ev,
 }  // namespace
 
 std::string usage() {
-  return
+  std::string u =
       "adlsym — ADL-based retargetable symbolic execution\n"
       "\n"
       "usage:\n"
@@ -352,124 +536,46 @@ std::string usage() {
       "  adlsym disasm <isa> <file.img>             disassemble an image\n"
       "  adlsym run <isa> <file.img> [in...]        concrete execution\n"
       "  adlsym explore <isa> <file.img> [options]  symbolic exploration\n"
-      "  adlsym profile <isa> <file.img> [options]  exploration + the\n"
-      "                                             cost-attribution tables\n"
-      "                                             (accepts all explore\n"
-      "                                             options)\n"
-      "  adlsym replay <query-dir>                  re-solve a captured\n"
-      "                                             query corpus and diff\n"
-      "  adlsym tail <events-file>                  live run inspector over\n"
-      "                                             an --events stream\n"
-      "  adlsym events summarize <events-file>      recompute run counters\n"
-      "                                             from the stream and\n"
-      "                                             check reconciliation\n"
-      "  adlsym verify-run <manifest.json>          re-hash a run's\n"
-      "                                             artifacts and replay\n"
-      "                                             cross-artifact checks\n"
-      "\n"
-      "lint options (docs/linting.md):\n"
-      "  --format=text|json   output rendering (default text)\n"
-      "  --werror             warning findings also fail the exit code\n"
-      "  --stats-json=<file>  finding counts + per-pass timings\n"
-      "\n"
-      "explore options:\n"
-      "  --strategy dfs|bfs|random|coverage   search order (default dfs)\n"
-      "  --max-paths N                        completed-path budget\n"
-      "  --max-steps N                        total instruction budget\n"
-      "  --first-defect                       stop at the first defect\n"
-      "  --merge                              veritesting state merging\n"
-      "  --coverage                           per-insn coverage report\n"
-      "  --lint                               lint model+image first;\n"
-      "                                       error findings abort\n"
-      "  --prefilter=on|off                   abstract-interpretation\n"
-      "                                       pre-solver in front of bit-\n"
-      "                                       blasting (default on;\n"
-      "                                       docs/absdomain.md)\n"
-      "  --engine=bytecode|interp             ADL execution engine: load-\n"
-      "                                       time RTL bytecode compiler\n"
-      "                                       (default) or the tree-walking\n"
-      "                                       reference interpreter; all\n"
-      "                                       artifacts are byte-identical\n"
-      "                                       (docs/bytecode.md)\n"
-      "\n"
-      "parallel exploration (explore; docs/parallelism.md):\n"
-      "  --jobs N             worker threads (1..64); results are byte-\n"
-      "                       identical across N under --clock=manual.\n"
-      "                       Incompatible with --merge and --query-log\n"
-      "  --qcache=on|off|N    shared SMT query cache across workers:\n"
-      "                       on = unbounded (default), off = solve every\n"
-      "                       query, N = capacity with FIFO eviction\n"
-      "                       (eviction makes hit counts schedule-dependent)\n"
-      "\n"
-      "resource governor (explore; docs/robustness.md):\n"
-      "  --max-frontier N       cap the frontier; excess states are\n"
-      "                         evicted (strategy-aware) as truncated\n"
-      "  --mem-budget-mb N      approximate state+term byte budget\n"
-      "  --solver-timeout-ms N  per-query solver deadline (Unknown on\n"
-      "                         expiry, layered on the conflict budget)\n"
-      "  --max-wall-ms N        whole-run wall budget; also bounds\n"
-      "                         in-flight solver queries\n"
-      "  --inject=SITE:N[,..]   deterministic fault injection: fire the\n"
-      "                         named fault site on its Nth hit (sites:\n"
-      "                         solver.check, image.read, obs.write,\n"
-      "                         alloc, ckpt.write, ckpt.read); also via\n"
-      "                         env ADLSYM_FAULTS\n"
-      "  --clock=manual[:US]    deterministic manual clock advancing US\n"
-      "                         microseconds per read (reproducible\n"
-      "                         stats documents)\n"
-      "\n"
-      "crash-safe checkpointing (explore; docs/robustness.md):\n"
-      "  --checkpoint=<file>    write an adlsym-ckpt-v1 checkpoint\n"
-      "                         (atomically replaced, self-hashed) at\n"
-      "                         every level barrier, on SIGINT/SIGTERM,\n"
-      "                         and at run end. Requires --clock=manual\n"
-      "  --checkpoint-every=N   level-barrier cadence in per-path steps;\n"
-      "                         checkpoint bytes are identical across\n"
-      "                         --jobs values\n"
-      "  --resume=<file>        continue a checkpointed run; with the\n"
-      "                         same flags, every final artifact is\n"
-      "                         byte-identical to the uninterrupted run\n"
-      "                         (even after kill -9). Corrupt/truncated\n"
-      "                         checkpoints are rejected with exit 2\n"
+      "  adlsym profile <isa> <file.img> [options]  exploration + profile\n"
+      "  adlsym replay <query-dir>                  re-solve a query corpus\n"
+      "  adlsym tail <events-file>                  live run dashboard\n"
+      "  adlsym events summarize <events-file>      reconcile stream counters\n"
+      "  adlsym verify-run <manifest.json>          check a run's artifacts\n"
       "\n"
       "exit codes: 0 ok; 1 findings (defects, lint errors, replay\n"
       "mismatches); 2 bad input; 3 exploration truncated by a budget\n"
       "or stopped by a signal (partial results); 4 internal error /\n"
       "injected fault\n"
       "\n"
-      "observability (explore and run; docs/observability.md):\n"
-      "  --stats-json=<file>   aggregated JSON stats document (summary,\n"
-      "                        solver, metrics, opcode/branch-site tables)\n"
-      "  --path-forest=<file>  path-forest JSON record (explore only)\n"
-      "  --path-dot=<file>     path forest as Graphviz DOT (explore only)\n"
-      "  --query-log=<dir>     capture every solver query as SMT-LIB +\n"
-      "                        metadata; replay with `adlsym replay`\n"
-      "  --progress[=N]        heartbeat to stderr every N seconds\n"
-      "                        (default 1); includes the qcache hit rate\n"
-      "                        and current frontier depth\n"
-      "  --profile=<file>      adlsym-profile-v2 cost attribution: per-\n"
-      "                        opcode / per-RTL-statement tick counts and\n"
-      "                        per-branch-site canonical solver cost;\n"
-      "                        byte-identical across --jobs under\n"
-      "                        --clock=manual\n"
-      "  --profile-folded=<f>  collapsed-stack lines for flamegraph\n"
-      "                        tooling\n"
-      "  --events=<file|->     adlsym-events-v1 flight recorder: one JSONL\n"
-      "                        event per step/fork/path/query plus periodic\n"
-      "                        snapshots; the deterministic event set is\n"
-      "                        identical across --jobs under --clock=manual\n"
-      "                        (sort with tools/events_canon); inspect live\n"
-      "                        with `adlsym tail`\n"
-      "  --events-snapshot=N   snapshot cadence in step events (default\n"
-      "                        1000; 0 = never)\n"
-      "  --manifest=<file>     adlsym-run-v1 manifest: every artifact of\n"
-      "                        this run with its SHA-256; check with\n"
-      "                        `adlsym verify-run`\n"
-      "\n"
-      "tail options: --no-follow (render once), --max-wait=S (give up\n"
-      "after S seconds without run_end)\n"
-      "events summarize options: --stats=<stats.json> (cross-check the\n"
-      "stream against the run's stats document)\n";
+      "A flag's value follows '=' or comes as the next word; a [=value]\n"
+      "in brackets comes only after '='. profile takes every explore\n"
+      "option. docs/cli.md describes every flag.\n";
+  constexpr std::pair<uint8_t, const char*> kSections[] = {
+      {kLint, "lint"}, {kRun, "run"}, {kExplore, "explore"}, {kTail, "tail"},
+      {kEvents, "events summarize"}};
+  constexpr size_t kHelpColumn = 26;
+  for (const auto& [cmd, title] : kSections) {
+    u += std::string("\n") + title + " options:\n";
+    for (const Flag& f : kFlags) {
+      if ((f.cmds & cmd) == 0) continue;
+      std::string line = std::string("  ") + f.name;
+      if (f.kind != kSwitch) {
+        std::string value = f.value != nullptr ? f.value
+                            : f.kind == kChoice
+                                ? std::string(f.words) + (f.count ? "|N" : "")
+                            : f.kind == kCount   ? "N"
+                            : f.kind == kSeconds ? "S"
+                                                      : "<file>";
+        value = separator(f) + value;
+        line += f.bare != nullptr ? "[" + value + "]" : value;
+      }
+      line += line.size() < kHelpColumn
+                  ? std::string(kHelpColumn - line.size(), ' ')
+                  : "\n" + std::string(kHelpColumn, ' ');
+      u += line + f.help + "\n";
+    }
+  }
+  return u;
 }
 
 CommandResult cmdIsas() {
@@ -682,19 +788,20 @@ CommandResult cmdExplore(const std::string& isaName,
                   "not '-'");
     }
   }
-  SessionOptions sopt;
-  if (opt.strategy == "dfs") sopt.explorer.strategy = core::SearchStrategy::DFS;
-  else if (opt.strategy == "bfs") sopt.explorer.strategy = core::SearchStrategy::BFS;
-  else if (opt.strategy == "random") sopt.explorer.strategy = core::SearchStrategy::Random;
-  else if (opt.strategy == "coverage") sopt.explorer.strategy = core::SearchStrategy::Coverage;
+  core::ExplorerConfig ecfg;
+  if (opt.strategy == "dfs") ecfg.strategy = core::SearchStrategy::DFS;
+  else if (opt.strategy == "bfs") ecfg.strategy = core::SearchStrategy::BFS;
+  else if (opt.strategy == "random") ecfg.strategy = core::SearchStrategy::Random;
+  else if (opt.strategy == "coverage") ecfg.strategy = core::SearchStrategy::Coverage;
   else return fail("unknown strategy '" + opt.strategy + "'");
-  sopt.explorer.maxPaths = opt.maxPaths;
-  sopt.explorer.maxTotalSteps = opt.maxTotalSteps;
-  sopt.explorer.stopAtFirstDefect = opt.stopAtFirstDefect;
-  sopt.explorer.mergeStates = opt.mergeStates;
-  sopt.explorer.maxFrontier = opt.maxFrontier;
-  sopt.explorer.memBudgetBytes = opt.memBudgetMb * 1024 * 1024;
-  sopt.explorer.maxWallSeconds = double(opt.maxWallMs) / 1e3;
+  ecfg.maxPaths = opt.maxPaths;
+  ecfg.maxTotalSteps = opt.maxTotalSteps;
+  ecfg.stopAtFirstDefect = opt.stopAtFirstDefect;
+  ecfg.mergeStates = opt.mergeStates;
+  ecfg.maxFrontier = opt.maxFrontier;
+  ecfg.memBudgetBytes = opt.memBudgetMb * 1024 * 1024;
+  ecfg.maxWallSeconds = double(opt.maxWallMs) / 1e3;
+  const core::EngineConfig engineCfg;
 
   // Fault schedule for this command only (support/fault.h); the guard
   // disarms on every exit path, including an injected throw.
@@ -728,6 +835,11 @@ CommandResult cmdExplore(const std::string& isaName,
     if (!opt.queryLogDir.empty()) {
       return fail("--query-log is not supported with " + parallelFlag);
     }
+  } else if (!opt.qcacheOn || opt.qcacheCapacity != 0) {
+    // The sequential engine keeps its solver-local cache; the shared
+    // cache exists only in the parallel engine.
+    return fail("--qcache needs the parallel engine "
+                "(--jobs, --checkpoint or --resume)");
   }
 
   // ---- --resume: load + verify the checkpoint ------------------------
@@ -749,7 +861,7 @@ CommandResult cmdExplore(const std::string& isaName,
     expect("isa", isaName);
     expect("strategy", opt.strategy);
     expect("image_sha256", imageSha);
-    if (core::ckpt::fieldU64(resumeDoc, "rng_seed") != sopt.explorer.rngSeed) {
+    if (core::ckpt::fieldU64(resumeDoc, "rng_seed") != ecfg.rngSeed) {
       throw InputError("checkpoint " + opt.resumePath + ": rng_seed mismatch");
     }
     // The events stream is part of the checkpointed state: a resume
@@ -822,22 +934,14 @@ CommandResult cmdExplore(const std::string& isaName,
       // The evaluators' statement tick totals are flushed by now.
       fr.bus->runEnd(r.summary, r.solver, rtlProf ? rtlProf->total() : 0);
     }
-    if (!opt.pathForestPath.empty()) {
-      fault::hit("obs.write");
-      std::ofstream out(opt.pathForestPath, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        return fail("cannot open path-forest file '" + opt.pathForestPath + "'");
-      }
-      r.forest->writeJson(out);
+    std::string err = writeArtifact(
+        opt.pathForestPath, "path-forest",
+        [&](std::ostream& out) { r.forest->writeJson(out); });
+    if (err.empty()) {
+      err = writeArtifact(opt.pathDotPath, "path-dot",
+                          [&](std::ostream& out) { r.forest->writeDot(out); });
     }
-    if (!opt.pathDotPath.empty()) {
-      fault::hit("obs.write");
-      std::ofstream out(opt.pathDotPath, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        return fail("cannot open path-dot file '" + opt.pathDotPath + "'");
-      }
-      r.forest->writeDot(out);
-    }
+    if (!err.empty()) return fail(err);
 
     obs::ProfileReport rep;
     if (profiling) {
@@ -893,10 +997,13 @@ CommandResult cmdExplore(const std::string& isaName,
       fr.writeStatsJson(w);
     });
 
-    if (profiling) {
-      const std::string err = writeProfileArtifacts(rep, opt);
-      if (!err.empty()) return fail(err);
+    err = writeArtifact(opt.profilePath, "profile",
+                        [&](std::ostream& out) { rep.writeJson(out); });
+    if (err.empty()) {
+      err = writeArtifact(opt.profileFoldedPath, "profile-folded",
+                          [&](std::ostream& out) { rep.writeFolded(out); });
     }
+    if (!err.empty()) return fail(err);
 
     // Every artifact stream is final now; the manifest hashes them.
     fr.close();
@@ -951,13 +1058,13 @@ CommandResult cmdExplore(const std::string& isaName,
     }
 
     core::ParallelConfig pcfg;
-    pcfg.base = sopt.explorer;
+    pcfg.base = ecfg;
     if (!mux.empty()) pcfg.base.observer = &mux;
     pcfg.jobs = static_cast<unsigned>(opt.jobs);
     pcfg.manualClockStepUs = opt.manualClockStepUs;
     pcfg.qcache = qcache.get();
     pcfg.prefilter = opt.prefilterOn;
-    pcfg.solverConflictBudget = sopt.solverConflictBudget;
+    pcfg.solverConflictBudget = kSolverConflictBudget;
     pcfg.solverTimeoutMicros = opt.solverTimeoutMs * 1000;
     pcfg.solverShapeProfile = profiling;
     pcfg.queryListener = fr.bus.get();
@@ -1013,7 +1120,7 @@ CommandResult cmdExplore(const std::string& isaName,
 
     core::RtlProfile* rp = rtlProf.get();
     core::ParallelExplorer pex(
-        image, sopt.engine, pcfg,
+        image, engineCfg, pcfg,
         [&m = *model, rp, engineKind](core::EngineServices& svc) {
           std::unique_ptr<core::Executor> ex =
               core::makeAdlExecutor(engineKind, m, svc);
@@ -1048,7 +1155,7 @@ CommandResult cmdExplore(const std::string& isaName,
   // ---- sequential engine ----------------------------------------------
   smt::TermManager tm;
   smt::SmtSolver solver(tm);
-  solver.setConflictBudget(sopt.solverConflictBudget);
+  solver.setConflictBudget(kSolverConflictBudget);
   solver.setQueryTimeoutMicros(opt.solverTimeoutMs * 1000);
   std::unique_ptr<smt::PreSolver> presolver;
   if (opt.prefilterOn) {
@@ -1074,16 +1181,16 @@ CommandResult cmdExplore(const std::string& isaName,
   mux.add(progress.get());
   mux.add(sites.get());
   mux.add(profCollector.get());
-  if (!mux.empty()) sopt.explorer.observer = &mux;
+  if (!mux.empty()) ecfg.observer = &mux;
   // The query log sees each query before the event stream does.
   solver.addQueryListener(qlog.get());
   solver.addQueryListener(fr.bus.get());
 
-  core::EngineServices services(tm, solver, image, sopt.engine, ct.get());
+  core::EngineServices services(tm, solver, image, engineCfg, ct.get());
   const std::unique_ptr<core::Executor> executor =
       core::makeAdlExecutor(engineKind, *model, services);
   if (rtlProf) executor->setRtlProfile(rtlProf.get());
-  core::Explorer explorer(*executor, services, sopt.explorer);
+  core::Explorer explorer(*executor, services, ecfg);
   fr.runBegin(isaName, opt);
   const core::ExploreSummary summary = explorer.run();
   if (rtlProf) executor->flushRtlProfile();
@@ -1188,29 +1295,18 @@ CommandResult dispatch(const std::vector<std::string>& args) {
       return cmdModel(args[1]);
     }
     if (cmd == "lint") {
-      LintOptions opt;
-      std::vector<std::string> pos;
-      for (size_t i = 1; i < args.size(); ++i) {
-        if (args[i] == "--werror") {
-          opt.werror = true;
-        } else if (args[i] == "--format=json") {
-          opt.json = true;
-        } else if (args[i] == "--format=text") {
-          opt.json = false;
-        } else if (startsWith(args[i], "--stats-json=")) {
-          opt.statsJsonPath = pathValue(args[i], "--stats-json");
-        } else if (startsWith(args[i], "--")) {
-          return fail("unknown lint option '" + args[i] + "'");
-        } else {
-          pos.push_back(args[i]);
-        }
-      }
+      AllOptions o;
+      const std::vector<std::string> pos = parseArgs(args, 1, kLint, o);
       if (pos.empty() || pos.size() > 2) {
         return fail(
             "usage: adlsym lint <isa|file.adl> [file.img] "
             "[--format=text|json] [--werror]");
       }
-      if (pos.size() == 2) opt.imageText = readFileOrThrow(pos[1]);
+      const LintOptions opt{
+          .json = o.lintJson,
+          .werror = o.werror,
+          .imageText = pos.size() == 2 ? readFileOrThrow(pos[1]) : "",
+          .statsJsonPath = o.statsJsonPath};
       const auto names = isa::allIsaNames();
       const bool shipped =
           std::find(names.begin(), names.end(), pos[0]) != names.end();
@@ -1228,172 +1324,56 @@ CommandResult dispatch(const std::vector<std::string>& args) {
       return cmdDisasm(args[1], readFileOrThrow(args[2]));
     }
     if (cmd == "run") {
-      if (args.size() < 3) return fail("usage: adlsym run <isa> <file.img> [inputs...]");
-      std::vector<uint64_t> inputs;
-      RunOptions ropt;
-      for (size_t i = 3; i < args.size(); ++i) {
-        if (startsWith(args[i], "--stats-json=")) {
-          ropt.statsJsonPath = pathValue(args[i], "--stats-json");
-        } else {
-          const auto v = parseInt(args[i]);
-          if (!v) return fail("bad input value '" + args[i] + "'");
-          inputs.push_back(*v);
-        }
+      AllOptions o;
+      const std::vector<std::string> pos = parseArgs(args, 1, kRun, o);
+      if (pos.size() < 2) {
+        return fail("usage: adlsym run <isa> <file.img> [inputs...]");
       }
-      return cmdRun(args[1], readFileOrThrow(args[2]), inputs, ropt);
+      std::vector<uint64_t> inputs;
+      for (size_t i = 2; i < pos.size(); ++i) {
+        const auto v = parseInt(pos[i]);
+        if (!v) return fail("bad input value '" + pos[i] + "'");
+        inputs.push_back(*v);
+      }
+      return cmdRun(pos[0], readFileOrThrow(pos[1]), inputs,
+                    RunOptions{o.statsJsonPath});
     }
     if (cmd == "explore" || cmd == "profile") {
-      if (args.size() < 3) {
+      AllOptions o;
+      const std::vector<std::string> pos = parseArgs(args, 1, kExplore, o);
+      if (pos.size() != 2) {
         return fail("usage: adlsym " + cmd + " <isa> <file.img> [options]");
       }
-      ExploreOptions opt;
-      // `profile` is `explore` plus the cost-attribution tables on stdout;
-      // it shares every explore option below.
-      opt.profileStdout = cmd == "profile";
-      opt.programLabel = args[2];
-      for (size_t i = 3; i < args.size(); ++i) {
-        if (args[i] == "--strategy") {
-          opt.strategy = nextValue(args, i);
-        } else if (args[i] == "--max-paths") {
-          opt.maxPaths = parseCount("--max-paths", nextValue(args, i));
-        } else if (args[i] == "--max-steps") {
-          opt.maxTotalSteps = parseCount("--max-steps", nextValue(args, i));
-        } else if (args[i] == "--first-defect") {
-          opt.stopAtFirstDefect = true;
-        } else if (args[i] == "--merge") {
-          opt.mergeStates = true;
-        } else if (args[i] == "--coverage") {
-          opt.coverageReport = true;
-        } else if (args[i] == "--lint") {
-          opt.lint = true;
-        } else if (startsWith(args[i], "--stats-json=")) {
-          opt.statsJsonPath = pathValue(args[i], "--stats-json");
-        } else if (startsWith(args[i], "--path-forest=")) {
-          opt.pathForestPath = pathValue(args[i], "--path-forest");
-        } else if (startsWith(args[i], "--path-dot=")) {
-          opt.pathDotPath = pathValue(args[i], "--path-dot");
-        } else if (startsWith(args[i], "--query-log=")) {
-          opt.queryLogDir = pathValue(args[i], "--query-log");
-        } else if (startsWith(args[i], "--profile=")) {
-          opt.profilePath = pathValue(args[i], "--profile");
-        } else if (startsWith(args[i], "--profile-folded=")) {
-          opt.profileFoldedPath = pathValue(args[i], "--profile-folded");
-        } else if (startsWith(args[i], "--events=")) {
-          opt.eventsPath = pathValue(args[i], "--events");
-        } else if (startsWith(args[i], "--events-snapshot=")) {
-          opt.eventsSnapshotEvery =
-              parseCount("--events-snapshot", args[i].substr(18));
-        } else if (startsWith(args[i], "--manifest=")) {
-          opt.manifestPath = pathValue(args[i], "--manifest");
-        } else if (args[i] == "--max-frontier") {
-          opt.maxFrontier =
-              parseCount("--max-frontier", nextValue(args, i), 1);
-        } else if (args[i] == "--mem-budget-mb") {
-          opt.memBudgetMb =
-              parseCount("--mem-budget-mb", nextValue(args, i), 1);
-        } else if (args[i] == "--solver-timeout-ms") {
-          opt.solverTimeoutMs =
-              parseCount("--solver-timeout-ms", nextValue(args, i));
-        } else if (args[i] == "--max-wall-ms") {
-          opt.maxWallMs = parseCount("--max-wall-ms", nextValue(args, i));
-        } else if (startsWith(args[i], "--inject=")) {
-          opt.injectSpec = args[i].substr(9);
-        } else if (startsWith(args[i], "--checkpoint=")) {
-          opt.checkpointPath = pathValue(args[i], "--checkpoint");
-        } else if (startsWith(args[i], "--checkpoint-every=")) {
-          opt.checkpointEverySteps =
-              parseCount("--checkpoint-every", args[i].substr(19), 1);
-        } else if (startsWith(args[i], "--resume=")) {
-          opt.resumePath = pathValue(args[i], "--resume");
-        } else if (args[i] == "--clock=manual") {
-          opt.manualClockStepUs = 1;
-        } else if (startsWith(args[i], "--clock=manual:")) {
-          opt.manualClockStepUs =
-              parseCount("--clock=manual", args[i].substr(15), 1);
-        } else if (args[i] == "--jobs" || startsWith(args[i], "--jobs=")) {
-          const std::string v = startsWith(args[i], "--jobs=")
-                                    ? args[i].substr(7)
-                                    : nextValue(args, i);
-          opt.jobs = parseCount("--jobs", v, 1, 64);
-        } else if (args[i] == "--prefilter=on") {
-          opt.prefilterOn = true;
-        } else if (args[i] == "--prefilter=off") {
-          opt.prefilterOn = false;
-        } else if (startsWith(args[i], "--prefilter=")) {
-          return fail("bad --prefilter '" + args[i] + "' (want on|off)");
-        } else if (args[i] == "--engine=bytecode" ||
-                   args[i] == "--engine=interp") {
-          opt.engine = args[i].substr(9);
-        } else if (startsWith(args[i], "--engine=")) {
-          return fail("bad --engine '" + args[i] +
-                      "' (want bytecode|interp)");
-        } else if (args[i] == "--qcache=on") {
-          opt.qcacheOn = true;
-          opt.qcacheCapacity = 0;
-        } else if (args[i] == "--qcache=off") {
-          opt.qcacheOn = false;
-        } else if (startsWith(args[i], "--qcache=")) {
-          opt.qcacheOn = true;
-          opt.qcacheCapacity = parseCount("--qcache", args[i].substr(9), 1);
-        } else if (args[i] == "--progress") {
-          opt.progressSeconds = 1.0;
-        } else if (startsWith(args[i], "--progress=")) {
-          opt.progressSeconds = parseSeconds("--progress", args[i].substr(11));
-        } else {
-          return fail("unknown " + cmd + " option '" + args[i] + "'");
-        }
-      }
-      opt.argvEcho = args;  // echoed into the --manifest document
-      return cmdExplore(args[1], readFileOrThrow(args[2]), opt);
+      // `profile` is `explore` plus the cost-attribution tables on stdout.
+      o.profileStdout = cmd == "profile";
+      o.programLabel = pos[1];
+      o.argvEcho = args;  // echoed into the --manifest document
+      return cmdExplore(pos[0], readFileOrThrow(pos[1]), o);
     }
     if (cmd == "replay") {
       if (args.size() != 2) return fail("usage: adlsym replay <query-dir>");
       return cmdReplay(args[1]);
     }
     if (cmd == "tail") {
-      TailOptions topt;
-      std::vector<std::string> pos;
-      for (size_t i = 1; i < args.size(); ++i) {
-        if (args[i] == "--no-follow") {
-          topt.follow = false;
-        } else if (startsWith(args[i], "--max-wait=")) {
-          topt.maxWaitSeconds = parseSeconds("--max-wait", args[i].substr(11));
-        } else if (startsWith(args[i], "--")) {
-          return fail("unknown tail option '" + args[i] + "'");
-        } else {
-          pos.push_back(args[i]);
-        }
-      }
+      AllOptions o;
+      const std::vector<std::string> pos = parseArgs(args, 1, kTail, o);
       if (pos.size() != 1) {
         return fail(
             "usage: adlsym tail <events-file> [--no-follow] [--max-wait=S]");
       }
-      return cmdTail(pos[0], topt);
+      return cmdTail(pos[0], {.follow = !o.noFollow,
+                              .maxWaitSeconds = o.maxWaitSeconds});
     }
     if (cmd == "events") {
-      if (args.size() < 3 || args[1] != "summarize") {
-        return fail(
-            "usage: adlsym events summarize <events-file> "
-            "[--stats=<stats.json>]");
-      }
-      std::string eventsPath, statsPath;
-      for (size_t i = 2; i < args.size(); ++i) {
-        if (startsWith(args[i], "--stats=")) {
-          statsPath = pathValue(args[i], "--stats");
-        } else if (startsWith(args[i], "--")) {
-          return fail("unknown events option '" + args[i] + "'");
-        } else if (eventsPath.empty()) {
-          eventsPath = args[i];
-        } else {
-          return fail("extra events argument '" + args[i] + "'");
-        }
-      }
-      if (eventsPath.empty()) {
-        return fail(
-            "usage: adlsym events summarize <events-file> "
-            "[--stats=<stats.json>]");
-      }
-      return cmdEventsSummarize(eventsPath, statsPath);
+      const std::string usageText =
+          "usage: adlsym events summarize <events-file> "
+          "[--stats=<stats.json>]";
+      if (args.size() < 3 || args[1] != "summarize") return fail(usageText);
+      AllOptions o;
+      const std::vector<std::string> pos = parseArgs(args, 2, kEvents, o);
+      if (pos.empty()) return fail(usageText);
+      if (pos.size() > 1) return fail("extra events argument '" + pos[1] + "'");
+      return cmdEventsSummarize(pos[0], o.statsPath);
     }
     if (cmd == "verify-run") {
       if (args.size() != 2) {

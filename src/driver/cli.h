@@ -103,8 +103,8 @@ struct ExploreOptions {
   /// across every jobs value. Incompatible with --merge and --query-log.
   uint64_t jobs = 0;
   /// Shared SMT query cache for the parallel engine (--qcache=on|off|N).
-  /// Ignored by the sequential explorer, which has its own per-solver
-  /// cache.
+  /// The sequential explorer keeps its own per-solver cache and rejects
+  /// qcacheOn == false or a capacity (exit 2).
   bool qcacheOn = true;
   /// Cache entry capacity; 0 = unbounded (the deterministic default —
   /// a binding capacity makes hit counts depend on scheduling).

@@ -21,6 +21,10 @@
 
 namespace adlsym::driver {
 
+/// SAT conflict budget per solver query that Session and `adlsym explore`
+/// apply.
+inline constexpr uint64_t kSolverConflictBudget = 500000;
+
 struct SessionOptions {
   core::EngineConfig engine;
   core::ExplorerConfig explorer;
@@ -40,7 +44,7 @@ struct SessionOptions {
   /// and the bench ablations switch it off.
   bool prefilter = true;
   /// SAT conflict budget per solver query (0 = unlimited).
-  uint64_t solverConflictBudget = 500000;
+  uint64_t solverConflictBudget = kSolverConflictBudget;
   /// Wall deadline per solver query in microseconds (0 = unlimited),
   /// measured on the telemetry clock when one is attached. Layered on the
   /// conflict budget; an expired query returns Unknown (docs/robustness.md).

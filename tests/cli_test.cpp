@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -339,6 +341,161 @@ TEST(Cli, MisuseMessagesNameTheFlag) {
   EXPECT_NE(jobs.output.find("--merge is not supported with --jobs"),
             std::string::npos)
       << jobs.output;
+  // The shared query cache exists only in the parallel engine, so the
+  // sequential engine rejects a --qcache value that would change it.
+  for (const char* qc : {"--qcache=off", "--qcache=64"}) {
+    const auto r = dispatch({"explore", "rv32e", imgPath, qc});
+    EXPECT_EQ(r.exitCode, 2) << qc;
+    for (const char* name : {"--qcache", "--jobs", "--checkpoint", "--resume"}) {
+      EXPECT_NE(r.output.find(name), std::string::npos) << r.output;
+    }
+  }
+  EXPECT_EQ(dispatch({"explore", "rv32e", imgPath, "--qcache=on"}).exitCode, 0);
+  EXPECT_EQ(dispatch({"explore", "rv32e", imgPath, "--jobs", "2",
+                      "--qcache=off"})
+                .exitCode,
+            0);
+}
+
+TEST(Cli, EveryUsageFlagParsesAndIsDocumented) {
+  // Each --flag of usage()'s option sections, given alone to its
+  // subcommand, is a known option, and docs/cli.md names it.
+  const auto img = cmdAsm("rv32e", kProgram);
+  ASSERT_EQ(img.exitCode, 0);
+  const std::string imgPath = testing::TempDir() + "cli_drift.img";
+  std::ofstream(imgPath, std::ios::binary) << img.output;
+  const std::string noFile = testing::TempDir() + "cli_drift_missing.jsonl";
+  const std::string doc = slurp(ADLSYM_CLI_DOC);
+  ASSERT_FALSE(doc.empty());
+  const std::regex flagRe("--[a-z][a-z0-9-]*(=[a-z]+)?");
+  std::istringstream in(usage());
+  std::string line, section;
+  size_t flags = 0;
+  while (std::getline(in, line)) {
+    if (!line.empty() && line[0] != ' ') {
+      const size_t at = line.find(" options:");
+      section = at == std::string::npos ? "" : line.substr(0, at);
+      continue;
+    }
+    if (section.empty()) continue;
+    for (std::sregex_iterator it(line.begin(), line.end(), flagRe), end;
+         it != end; ++it) {
+      const std::string flag = it->str();
+      ++flags;
+      EXPECT_NE(doc.find(flag), std::string::npos)
+          << flag << " is missing from docs/cli.md";
+      std::vector<std::vector<std::string>> calls;
+      if (section == "lint") {
+        calls = {{"lint", "rv32e", flag}};
+      } else if (section == "run") {
+        calls = {{"run", "rv32e", imgPath, flag}};
+      } else if (section == "explore") {
+        calls = {{"explore", "rv32e", imgPath, flag},
+                 {"profile", "rv32e", imgPath, flag}};
+      } else if (section == "tail") {
+        calls = {{"tail", noFile, flag}};
+      } else if (section == "events summarize") {
+        calls = {{"events", "summarize", noFile, flag}};
+      } else {
+        ADD_FAILURE() << "usage() has an unexpected section '" << section
+                      << "'";
+      }
+      for (const auto& args : calls) {
+        const auto r = dispatch(args);
+        EXPECT_EQ(r.output.find("unknown " + args[0] + " option"),
+                  std::string::npos)
+            << flag << ": " << r.output;
+      }
+    }
+  }
+  EXPECT_GE(flags, 36u);
+}
+
+TEST(Cli, ValueFlagsTakeEqualsOrTheNextWord) {
+  // Three input bytes, each tested against zero: 8 paths.
+  const auto img = cmdAsm("rv32e", R"(
+_start:
+  in8 x5
+  beq x5, x0, z1
+  addi x8, x8, 1
+z1:
+  in8 x6
+  beq x6, x0, z2
+  addi x8, x8, 2
+z2:
+  in8 x7
+  beq x7, x0, z3
+  addi x8, x8, 4
+z3:
+  out x8
+  halti 0
+)");
+  ASSERT_EQ(img.exitCode, 0) << img.output;
+  const std::string imgPath = testing::TempDir() + "cli_spelling.img";
+  std::ofstream(imgPath, std::ios::binary) << img.output;
+  const auto explore = [&](std::vector<std::string> flag) {
+    std::vector<std::string> args = {"explore", "rv32e", imgPath,
+                                     "--clock=manual"};
+    args.insert(args.end(), flag.begin(), flag.end());
+    return dispatch(args);
+  };
+  const auto paths = explore({"--max-paths=5"});
+  EXPECT_EQ(paths.exitCode, 3) << paths.output;
+  EXPECT_NE(paths.output.find("exited=5 "), std::string::npos) << paths.output;
+  EXPECT_EQ(paths.output, explore({"--max-paths", "5"}).output);
+  const auto bfs = explore({"--strategy=bfs"});
+  EXPECT_EQ(bfs.exitCode, 0) << bfs.output;
+  EXPECT_NE(bfs.output, explore({}).output);  // bfs orders paths otherwise
+  EXPECT_EQ(bfs.output, explore({"--strategy", "bfs"}).output);
+}
+
+TEST(Cli, CheckpointEveryZeroWritesOnlyTheFinalCheckpoint) {
+  const auto img = cmdAsm("rv32e", kProgram);
+  ASSERT_EQ(img.exitCode, 0);
+  const std::string imgPath = testing::TempDir() + "cli_ck0.img";
+  std::ofstream(imgPath, std::ios::binary) << img.output;
+  const std::string plain = testing::TempDir() + "cli_ck0_plain.ckpt";
+  const std::string zero = testing::TempDir() + "cli_ck0_zero.ckpt";
+  const auto a = dispatch(
+      {"explore", "rv32e", imgPath, "--clock=manual", "--checkpoint=" + plain});
+  const auto b =
+      dispatch({"explore", "rv32e", imgPath, "--clock=manual",
+                "--checkpoint=" + zero, "--checkpoint-every=0"});
+  EXPECT_EQ(a.exitCode, 0) << a.output;
+  EXPECT_EQ(b.exitCode, 0) << b.output;
+  EXPECT_EQ(a.output, b.output);
+  EXPECT_FALSE(slurp(plain).empty());
+  EXPECT_EQ(slurp(plain), slurp(zero));
+}
+
+TEST(Cli, ObsWriteHitsFollowTheArtifactOrder) {
+  // Every artifact costs one obs.write fault hit, in this order; an
+  // injected fault at hit k leaves exactly the first k-1 files written.
+  const auto img = cmdAsm("rv32e", kProgram);
+  ASSERT_EQ(img.exitCode, 0);
+  const std::string imgPath = testing::TempDir() + "cli_obs_order.img";
+  std::ofstream(imgPath, std::ios::binary) << img.output;
+  const std::vector<std::pair<std::string, std::string>> artifacts = {
+      {"--events=", "e.jsonl"},         {"--path-forest=", "f.json"},
+      {"--path-dot=", "f.dot"},         {"--stats-json=", "s.json"},
+      {"--profile=", "p.json"},         {"--profile-folded=", "p.folded"},
+      {"--manifest=", "m.json"}};
+  for (size_t k = 1; k <= artifacts.size() + 1; ++k) {
+    const std::string dir =
+        testing::TempDir() + "cli_obs_order_" + std::to_string(k) + "/";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::vector<std::string> args = {"explore", "rv32e", imgPath,
+                                     "--clock=manual",
+                                     "--inject=obs.write:" + std::to_string(k)};
+    for (const auto& [flag, file] : artifacts) args.push_back(flag + dir + file);
+    const auto r = dispatch(args);
+    EXPECT_EQ(r.exitCode, k <= artifacts.size() ? 4 : 0) << k << r.output;
+    for (size_t a = 0; a < artifacts.size(); ++a) {
+      EXPECT_EQ(std::filesystem::exists(dir + artifacts[a].second), a + 1 < k)
+          << "hit " << k << ", " << artifacts[a].second;
+    }
+  }
 }
 
 TEST(Cli, AsmErrorsReported) {

@@ -27,6 +27,17 @@
 #   j4    --jobs 4, exit code only: which states a pool evicts, or
 #         finishes before an early stop, depends on the schedule
 #         (docs/parallelism.md), so only the exit code is comparable
+# The flags family runs bitcount3 on every ISA once per shape, so every
+# flag the shapes above never pass is parsed by both builds:
+#   profile   the `profile` subcommand with the seq flags
+#   seq       --coverage --lint --engine=interp --merge with the seq flags
+#   ev        --clock=manual:3 --events-snapshot=3 --events=- (the stream
+#             goes to stdout) with --stats-json and --manifest
+#   gov       --max-steps 50 --solver-timeout-ms 1000 --first-defect with
+#             the seq flags
+#   j4qc      --jobs 4 --qcache=64 with the j4 flags (bitcount3 fills 14
+#             entries, so the cache never evicts)
+#   lint      `adlsym lint <isa> prog.img --format=json`
 # Parallel runs write events in a schedule-dependent order, so their
 # streams are compared after tools/events_canon, and the --jobs 4
 # manifests (which hash the raw stream) are skipped.
@@ -67,18 +78,25 @@ governor=(
 
 runs=0
 fails=0
-# run <build> <dir> <isa> <flags...>: one exploration in <dir>, with paths
-# relative to it so both builds echo the same argv into the manifest.
-run() {
-  local build=$1 dir=$2 isa=$3
-  shift 3
+# invoke <build> <dir> <adlsym args...>: one adlsym command in <dir> next
+# to a copy of prog.img, with paths relative to <dir> so both builds echo
+# the same argv into the manifest.
+invoke() {
+  local build=$1 dir=$2
+  shift 2
   rm -rf "$dir"
   mkdir -p "$dir"
   cp "$scratch/prog.img" "$dir/prog.img"
   local rc=0
-  (cd "$dir" && "$build/tools/adlsym" explore "$isa" prog.img \
-      --clock=manual "$@" > stdout.txt 2> /dev/null) || rc=$?
+  (cd "$dir" && "$build/tools/adlsym" "$@" > stdout.txt 2> /dev/null) || rc=$?
   echo "$rc" > "$dir/exit.txt"
+}
+
+# run <build> <dir> <isa> <flags...>: one exploration under --clock=manual.
+run() {
+  local build=$1 dir=$2 isa=$3
+  shift 3
+  invoke "$build" "$dir" explore "$isa" prog.img --clock=manual "$@"
 }
 
 # concrete <build> <dir> <isa> <inputs...>: one `adlsym run` in <dir>.
@@ -201,6 +219,31 @@ for spec in "${governor[@]}"; do
     compare "$c-j4" 0 exit
   done
   g=$((g + 1))
+done
+
+for isa in acc8 m16 rv32e stk16; do
+  "$wimg" bitcount3 "$isa" > "$scratch/prog.img"
+  for side in old new; do
+    build=$old
+    [ "$side" = new ] && build=$new
+    base="$scratch/$side/flags-$isa"
+    invoke "$build" "$base-profile" profile "$isa" prog.img --clock=manual \
+      "${full[@]}" --query-log=qlog
+    run "$build" "$base-seq" "$isa" "${full[@]}" --query-log=qlog \
+      --coverage --lint --engine=interp --merge
+    run "$build" "$base-ev" "$isa" --clock=manual:3 --events-snapshot=3 \
+      --events=- --stats-json=stats.json --manifest=manifest.json
+    run "$build" "$base-gov" "$isa" "${full[@]}" --query-log=qlog \
+      --max-steps 50 --solver-timeout-ms 1000 --first-defect
+    run "$build" "$base-j4qc" "$isa" "${full[@]}" --jobs 4 --qcache=64
+    invoke "$build" "$base-lint" lint "$isa" prog.img --format=json
+  done
+  compare "flags-$isa-profile" 0 0
+  compare "flags-$isa-seq" 0 0
+  compare "flags-$isa-ev" 0 0
+  compare "flags-$isa-gov" 0 0
+  compare "flags-$isa-j4qc" 1 1
+  compare "flags-$isa-lint" 0 0
 done
 
 echo "artifact_identity: $runs cases, $fails differing"
