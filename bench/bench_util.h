@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "support/json.h"
+#include "support/telemetry.h"
 
 namespace benchutil {
 
@@ -93,7 +94,7 @@ inline void writeCell(adlsym::json::Writer& w, const std::string& cell) {
 }
 
 /// Mirror every printed table into $ADLSYM_BENCH_JSON/BENCH_<name>.json
-/// ({"schema":"adlsym-stats-v8","command":"bench",...}); no-op when the
+/// ({"schema":telemetry::kStatsSchema,"command":"bench",...}); no-op when the
 /// env var is unset. Call once at the end of each bench's main().
 /// tools/bench_diff ignores the schema tag when diffing against committed
 /// baselines, so older BENCH_*.json stay comparable across bumps.
@@ -108,7 +109,7 @@ inline void writeJsonReport(const std::string& benchName) {
   }
   adlsym::json::Writer w(out);
   w.beginObject();
-  w.kv("schema", "adlsym-stats-v8");
+  w.kv("schema", adlsym::telemetry::kStatsSchema);
   w.kv("command", "bench");
   w.kv("bench", std::string_view(benchName));
   w.key("tables").beginArray();

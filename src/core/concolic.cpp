@@ -94,10 +94,6 @@ MachineState ConcolicDriver::executeSeed(const std::vector<uint64_t>& seed,
 ConcolicResult ConcolicDriver::run() {
   telemetry::Telemetry* tel = svc_.telemetry;
   telemetry::Clock& clk = tel ? tel->clock() : telemetry::Clock::system();
-  telemetry::Counter* runsCtr = tel ? &tel->metrics().counter("concolic.runs") : nullptr;
-  telemetry::Counter* seedsCtr =
-      tel ? &tel->metrics().counter("concolic.seeds_generated") : nullptr;
-  telemetry::Counter* stepsCtr = tel ? &tel->metrics().counter("concolic.steps") : nullptr;
   const uint64_t startUs = clk.nowMicros();
   ConcolicResult result;
   std::deque<std::vector<uint64_t>> queue;
@@ -115,10 +111,6 @@ ConcolicResult ConcolicDriver::run() {
     uint64_t steps = 0;
     MachineState final = executeSeed(seed, branches, steps, result.coveredSet);
     result.totalSteps += steps;
-    if (runsCtr) {
-      runsCtr->add();
-      stepsCtr->add(steps);
-    }
 
     // Record the executed path (witness = the seed itself, padded to the
     // inputs the run actually consumed).
@@ -174,7 +166,6 @@ ConcolicResult ConcolicDriver::run() {
     }
   }
 
-  if (seedsCtr) seedsCtr->add(result.seedsGenerated);
   result.wallSeconds = double(clk.nowMicros() - startUs) / 1e6;
   return result;
 }

@@ -16,8 +16,6 @@ using adl::rtl::StmtOp;
 AdlExecutor::AdlExecutor(const adl::ArchModel& model, EngineServices& services)
     : model_(model), svc_(services), decoder_(model) {
   if (telemetry::Telemetry* t = svc_.telemetry) {
-    stepsCtr_ = &t->metrics().counter("engine.steps");
-    ticksCtr_ = &t->metrics().counter("engine.rtl_ticks");
     decodeHist_ = &t->metrics().histogram("engine.decode_us");
     evalHist_ = &t->metrics().histogram("engine.eval_us");
   }
@@ -404,7 +402,6 @@ void AdlExecutor::finishInsn(MachineState st, Frame& frame, StepOut& out) {
 }
 
 void AdlExecutor::step(const MachineState& in, StepOut& out) {
-  if (stepsCtr_) stepsCtr_->add();
   const decode::DecodedInsn* d;
   {
     telemetry::ScopedTimer t(svc_.telemetry, decodeHist_);
@@ -431,12 +428,10 @@ void AdlExecutor::step(const MachineState& in, StepOut& out) {
   std::vector<const Stmt*> work;
   work.reserve(d->insn->semantics.size());
   for (const auto& s : d->insn->semantics) work.push_back(s.get());
-  const uint64_t ticksBefore = out.rtlTicks;
   {
     telemetry::ScopedTimer t(svc_.telemetry, evalHist_);
     execStmts(in, frame, std::move(work), out);
   }
-  if (ticksCtr_) ticksCtr_->add(out.rtlTicks - ticksBefore);
 }
 
 }  // namespace adlsym::core

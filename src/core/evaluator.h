@@ -64,8 +64,6 @@ class AdlExecutor : public Executor {
   decode::Decoder decoder_;
 
   // Telemetry handles, resolved once at construction (null when disabled).
-  telemetry::Counter* stepsCtr_ = nullptr;
-  telemetry::Counter* ticksCtr_ = nullptr;
   telemetry::Histogram* decodeHist_ = nullptr;
   telemetry::Histogram* evalHist_ = nullptr;
 

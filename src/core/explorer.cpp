@@ -114,22 +114,7 @@ ExploreKernel::ExploreKernel(EngineServices& svc, const ExplorerConfig& cfg)
     : svc(svc),
       cfg(cfg),
       ob(cfg.observer),
-      wantKeys(ob != nullptr && ob->wantsPathKeys()) {
-  if (telemetry::Telemetry* t = svc.telemetry) {
-    stepsCtr = &t->metrics().counter("explore.steps");
-    forksCtr = &t->metrics().counter("explore.forks");
-    dropsCtr = &t->metrics().counter("explore.drops");
-    mergesCtr = &t->metrics().counter("explore.merges");
-    pathsCtr = &t->metrics().counter("explore.paths");
-  }
-}
-
-void ExploreKernel::countStep(const StepOut& out) {
-  if (stepsCtr == nullptr) return;  // all or none are resolved
-  stepsCtr->add(out.retired);
-  if (out.successors.size() > 1) forksCtr->add(out.successors.size() - 1);
-  if (out.successors.empty()) dropsCtr->add();
-}
+      wantKeys(ob != nullptr && ob->wantsPathKeys()) {}
 
 bool ExploreKernel::fuseEligible() const {
   return ob == nullptr && svc.telemetry == nullptr && !cfg.mergeStates &&
@@ -160,7 +145,6 @@ PathResult ExploreKernel::finishPath(MachineState&& st, const PathKey& key,
   r.steps = st.steps;
   r.forks = st.forks;
   if (wantKeys) r.pathKey = keyToString(key);
-  if (pathsCtr) pathsCtr->add();
   if (st.defect) {
     r.defect = std::move(st.defect);
     r.test = r.defect->witness;
@@ -419,7 +403,6 @@ ExploreSummary Explorer::run() {
       exec_.step(cur.state, out);
     }
     summary.totalSteps += out.retired;
-    kernel_.countStep(out);
     const bool newPcHere = covered_.insert(cur.state.pc).second;
     for (const uint64_t fpc : out.fusedPcs) covered_.insert(fpc);
 
@@ -445,7 +428,6 @@ ExploreSummary Explorer::run() {
             if (f.state.pc == succ.pc && tryMerge(f.state, succ)) {
               merged = true;
               ++summary.statesMerged;
-              if (kernel_.mergesCtr) kernel_.mergesCtr->add();
               if (ob) ob->onMerge(f.node, childNode, succ.pc);
               break;
             }

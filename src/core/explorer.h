@@ -152,7 +152,7 @@ FrontierEntry makeChild(MachineState&& succ, const FrontierEntry& parent,
                         uint64_t node);
 
 /// Per-solver-context rules: one for the sequential engine, one per
-/// parallel worker. Resolves the explorer metrics of `svc.telemetry`.
+/// parallel worker.
 struct ExploreKernel {
   ExploreKernel(EngineServices& svc, const ExplorerConfig& cfg);
 
@@ -161,18 +161,12 @@ struct ExploreKernel {
   ExploreObserver* const ob;
   /// Serialise structural keys into PathResult / StepInfo.
   const bool wantKeys;
-  telemetry::Counter* stepsCtr = nullptr;
-  telemetry::Counter* forksCtr = nullptr;
-  telemetry::Counter* dropsCtr = nullptr;
-  telemetry::Counter* mergesCtr = nullptr;
-  telemetry::Counter* pathsCtr = nullptr;
-
-  /// Count one scheduling slot's instructions, forks and drop.
-  void countStep(const StepOut& out);
 
   /// Superblock fusing (stepMany with fuel > 1) is offered only when
   /// nothing can observe intermediate instructions: no observer, no
-  /// telemetry, no state merging (needs per-pc frontier hits), no governor
+  /// telemetry (the executors time every instruction's decode and eval
+  /// into the engine.decode_us / engine.eval_us histograms), no state
+  /// merging (needs per-pc frontier hits), no governor
   /// budgets (their eviction points are step-granular), no fault injection
   /// (fault sites fire at their exact step), and DFS order (the fused
   /// stretch is exactly the sequence DFS would pop).

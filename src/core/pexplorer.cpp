@@ -570,7 +570,6 @@ struct Engine {
     }
     w.steps += out.retired;
     gSteps.fetch_add(out.retired, std::memory_order_relaxed);
-    k.countStep(out);
     // Where this scheduling slot's last instruction ran: forks, drops and
     // defects of a fused run happen at its final (bailed) instruction.
     const uint64_t stepPc =

@@ -608,8 +608,6 @@ BytecodeExecutor::BytecodeExecutor(const adl::ArchModel& model,
                                    EngineServices& services)
     : model_(model), svc_(services), decoder_(model) {
   if (telemetry::Telemetry* t = svc_.telemetry) {
-    stepsCtr_ = &t->metrics().counter("engine.steps");
-    ticksCtr_ = &t->metrics().counter("engine.rtl_ticks");
     decodeHist_ = &t->metrics().histogram("engine.decode_us");
     evalHist_ = &t->metrics().histogram("engine.eval_us");
   }
@@ -914,7 +912,6 @@ void BytecodeExecutor::finishInsn(MachineState st, SymFrame& fr,
 }
 
 void BytecodeExecutor::step(const MachineState& in, StepOut& out) {
-  if (stepsCtr_) stepsCtr_->add();
   const decode::DecodedInsn* d;
   {
     telemetry::ScopedTimer t(svc_.telemetry, decodeHist_);
@@ -936,22 +933,21 @@ void BytecodeExecutor::step(const MachineState& in, StepOut& out) {
   fr.d = d;
   fr.insnAddr = in.pc;
   fr.site = CheckSite{in.pc, d->insn->name};
-  const uint64_t ticksBefore = out.rtlTicks;
   {
     telemetry::ScopedTimer t(svc_.telemetry, evalHist_);
     fr.prog = &programFor(in.pc, d);
     fr.slots.assign(fr.prog->numSlots, smt::TermRef());
     exec(in, fr, 0, out);
   }
-  if (ticksCtr_) ticksCtr_->add(out.rtlTicks - ticksBefore);
 }
 
 void BytecodeExecutor::stepMany(const MachineState& in, StepOut& out,
                                 uint64_t fuel) {
   // Self-gate: fuse only when nothing can observe intermediate steps.
-  // Telemetry counts per-step metrics and profiling attributes per-
-  // statement hits; the explorers additionally gate on observers, fault
-  // arming and governor budgets before offering fuel > 1.
+  // Telemetry times each instruction's decode and eval (engine.decode_us,
+  // engine.eval_us) and profiling attributes per-statement hits; the
+  // explorers additionally gate on observers, fault arming and governor
+  // budgets before offering fuel > 1.
   if (fuel <= 1 || svc_.telemetry != nullptr || rtlProf_ != nullptr) {
     step(in, out);
     return;

@@ -176,8 +176,6 @@ class BytecodeExecutor final : public Executor {
   FusionStats fstats_;
 
   // Telemetry handles, resolved once at construction (null when disabled).
-  telemetry::Counter* stepsCtr_ = nullptr;
-  telemetry::Counter* ticksCtr_ = nullptr;
   telemetry::Histogram* decodeHist_ = nullptr;
   telemetry::Histogram* evalHist_ = nullptr;
 

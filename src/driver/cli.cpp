@@ -101,7 +101,7 @@ class CommandTelemetry {
         writeArtifact(statsJsonPath_, "stats", [&](std::ostream& out) {
           json::Writer w(out);
           w.beginObject();
-          w.kv("schema", "adlsym-stats-v8");
+          w.kv("schema", telemetry::kStatsSchema);
           w.kv("command", std::string_view(command));
           w.kv("isa", std::string_view(isa));
           writeBody(w);
@@ -902,8 +902,10 @@ CommandResult cmdExplore(const std::string& isaName,
         opt.jobs > 0 ? nullptr : ct.get(), std::cerr, opt.progressSeconds,
         fr.bus.get(), fr.codePcs);
   }
+  // The one per-pc site table: the stats document's opcodes and
+  // branch_sites, and the profiler's per-site costs.
   std::unique_ptr<obs::SiteStatsCollector> sites;
-  if (ct.wantsStatsJson()) {
+  if (ct.wantsStatsJson() || profiling) {
     sites = std::make_unique<obs::SiteStatsCollector>(*model, image);
     if (resuming) {
       if (const json::Value* sv = resumeDoc.find("sites")) {
@@ -912,11 +914,7 @@ CommandResult cmdExplore(const std::string& isaName,
     }
   }
   std::unique_ptr<core::RtlProfile> rtlProf;
-  std::unique_ptr<obs::ProfileCollector> profCollector;
-  if (profiling) {
-    rtlProf = std::make_unique<core::RtlProfile>(*model);
-    profCollector = std::make_unique<obs::ProfileCollector>(*model, image);
-  }
+  if (profiling) rtlProf = std::make_unique<core::RtlProfile>(*model);
 
   // What an engine hands to the epilogue; borrowed from the engine
   // branch, which stays live while the epilogue runs.
@@ -947,7 +945,7 @@ CommandResult cmdExplore(const std::string& isaName,
     if (profiling) {
       rep.isa = isaName;
       rep.program = opt.programLabel;
-      rep.prof = profCollector.get();
+      rep.sites = sites.get();
       rep.rtl = rtlProf.get();
       rep.engineSteps = r.summary.totalSteps;
       // Independent of the observer deltas: the per-statement tables
@@ -1045,7 +1043,6 @@ CommandResult cmdExplore(const std::string& isaName,
     mux.add(fr.bus.get());
     mux.add(progress.get());
     mux.add(sites.get());
-    mux.add(profCollector.get());
 
     std::unique_ptr<smt::QueryCache> qcache;
     if (opt.qcacheOn) {
@@ -1078,7 +1075,9 @@ CommandResult cmdExplore(const std::string& isaName,
       // CLI-owned checkpoint sections. Runs on the checkpointing worker
       // while every other worker is quiescent, so the collectors are
       // stable and the events stream is fully flushed.
-      obs::SiteStatsCollector* sitesPtr = sites.get();
+      // The site table is checkpointed state of the stats document only.
+      obs::SiteStatsCollector* sitesPtr =
+          ct.wantsStatsJson() ? sites.get() : nullptr;
       obs::EventBus* busPtr = fr.bus.get();
       std::ofstream* eventsFile = &fr.file;
       const std::string eventsPath = opt.eventsPath;
@@ -1180,7 +1179,6 @@ CommandResult cmdExplore(const std::string& isaName,
   mux.add(qlog.get());
   mux.add(progress.get());
   mux.add(sites.get());
-  mux.add(profCollector.get());
   if (!mux.empty()) ecfg.observer = &mux;
   // The query log sees each query before the event stream does.
   solver.addQueryListener(qlog.get());

@@ -198,7 +198,7 @@ CommandResult cmdTail(const std::string& eventsPath, const TailOptions& opt);
 /// `adlsym events summarize <events-file> [--stats=<stats.json>]` —
 /// recompute the run's counters from the stream, check every
 /// reconciliation identity, and (with --stats) cross-check against the
-/// adlsym-stats-v8 document. Exit 1 when any identity fails.
+/// stats document (telemetry::kStatsSchema). Exit 1 when any identity fails.
 CommandResult cmdEventsSummarize(const std::string& eventsPath,
                                  const std::string& statsJsonPath);
 

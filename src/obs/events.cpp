@@ -11,6 +11,7 @@
 #include "core/testgen.h"
 #include "support/error.h"
 #include "support/json.h"
+#include "support/telemetry.h"
 
 namespace adlsym::obs {
 
@@ -752,8 +753,9 @@ std::vector<std::string> reconcileWithStats(const EventsSummary& es,
 
   const json::Value* schema = stats.find("schema");
   if (schema == nullptr || !schema->isString() ||
-      schema->str != "adlsym-stats-v8") {
-    out.push_back("stats schema is not adlsym-stats-v8");
+      schema->str != telemetry::kStatsSchema) {
+    out.push_back(std::string("stats schema is not ") +
+                  telemetry::kStatsSchema);
   }
   check({"summary", "total_steps"}, es.steps, "event steps");
   check({"summary", "total_forks"}, es.forks, "event forks");

@@ -324,9 +324,10 @@ struct EventsSummary {
 /// adlsym::InputError on unreadable/malformed JSONL.
 EventsSummary summarizeEvents(std::istream& in);
 
-/// Cross-check a summarized stream against a parsed adlsym-stats-v8
-/// document (the run's --stats-json). Returns mismatch descriptions
-/// (empty = the stream reconciles exactly with the stats counters).
+/// Cross-check a summarized stream against a parsed stats document (the
+/// run's --stats-json, telemetry::kStatsSchema). Returns mismatch
+/// descriptions (empty = the stream reconciles exactly with the stats
+/// document's counts).
 std::vector<std::string> reconcileWithStats(const EventsSummary& es,
                                             const json::Value& stats);
 

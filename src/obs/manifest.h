@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "support/telemetry.h"
+
 namespace adlsym::json {
 struct Value;
 }
@@ -26,7 +28,7 @@ class RunManifest {
   std::string strategy;
   std::string program;   // image path as given (cosmetic)
   std::vector<std::string> argv;  // full invocation, argv[0] excluded
-  std::string statsSchema = "adlsym-stats-v8";
+  std::string statsSchema = telemetry::kStatsSchema;
   std::string eventsSchema = "adlsym-events-v1";
 
   /// Register an artifact the run wrote; hashed when the manifest itself

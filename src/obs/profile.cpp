@@ -10,49 +10,6 @@
 
 namespace adlsym::obs {
 
-void ProfileCollector::onStepEnd(const StepInfo& info) {
-  std::lock_guard<std::mutex> lk(mu_);
-  SiteCost& site = sites_[info.pc];
-  if (site.opcode.empty()) {
-    const decode::DecodedInsn* d = decoder_.decodeAt(image_, info.pc);
-    site.opcode = d != nullptr ? d->insn->name : "<illegal>";
-  }
-  ++site.steps;
-  site.rtlTicks += info.stepRtlTicks;
-  if (info.numSuccessors > 1) ++site.forks;
-  site.queries += info.stepSolverQueries;
-  site.canon.terms += info.stepCanonTerms;
-  site.canon.gates += info.stepCanonGates;
-  site.canon.conflicts += info.stepCanonConflicts;
-  site.prefilterHits += info.stepPrefilterHits;
-  site.prefilterMisses += info.stepPrefilterMisses;
-  ++totalSteps_;
-  totalTicks_ += info.stepRtlTicks;
-  totalQueries_ += info.stepSolverQueries;
-}
-
-void ProfileCollector::onOffStepSolve(uint64_t pc, uint64_t queries,
-                                      uint64_t canonTerms, uint64_t canonGates,
-                                      uint64_t canonConflicts,
-                                      uint64_t preHits, uint64_t preMisses) {
-  std::lock_guard<std::mutex> lk(mu_);
-  SiteCost& site = sites_[pc];
-  if (site.opcode.empty()) {
-    // The cut pc never executed (the budget closed the path before its
-    // step), so the decoder may not have seen it yet.
-    const decode::DecodedInsn* d = decoder_.decodeAt(image_, pc);
-    site.opcode = d != nullptr ? d->insn->name : "<illegal>";
-  }
-  site.offStepQueries += queries;
-  site.canon.terms += canonTerms;
-  site.canon.gates += canonGates;
-  site.canon.conflicts += canonConflicts;
-  site.prefilterHits += preHits;
-  site.prefilterMisses += preMisses;
-  totalQueries_ += queries;
-  totalOffStep_ += queries;
-}
-
 namespace {
 
 void writeCanon(json::Writer& w, const smt::QueryCost& c) {
@@ -73,17 +30,45 @@ struct OpRow {
   smt::QueryCost canon;
 };
 
-std::map<std::string, OpRow> rollupOpcodes(const ProfileCollector& prof) {
+using Site = SiteStatsCollector::Site;
+
+/// Whether the profiler charges the site: it executed or had an off-step
+/// solve. Drop-only sites exist for the stats document's branch_sites.
+bool profiled(const Site& s) { return s.hits != 0 || s.offStepQueries != 0; }
+
+std::map<std::string, OpRow> rollupOpcodes(const SiteStatsCollector& sites) {
   std::map<std::string, OpRow> ops;
-  for (const auto& [pc, s] : prof.sites()) {
+  for (const auto& [pc, s] : sites.sites()) {
+    if (!profiled(s)) continue;
     OpRow& row = ops[s.opcode];
-    row.steps += s.steps;
+    row.steps += s.hits;
     row.rtlTicks += s.rtlTicks;
     row.forks += s.forks;
     row.queries += s.queries + s.offStepQueries;
     row.canon += s.canon;
   }
   return ops;
+}
+
+/// Per-site sums the report reconciles against the engine and solver.
+struct SiteTotals {
+  uint64_t sites = 0;
+  uint64_t rtlTicks = 0;
+  uint64_t queries = 0;  // in-step + off-step
+  uint64_t offStepQueries = 0;
+};
+
+SiteTotals siteTotals(const SiteStatsCollector* sites) {
+  SiteTotals t;
+  if (sites == nullptr) return t;
+  for (const auto& [pc, s] : sites->sites()) {
+    if (!profiled(s)) continue;
+    ++t.sites;
+    t.rtlTicks += s.rtlTicks;
+    t.queries += s.queries + s.offStepQueries;
+    t.offStepQueries += s.offStepQueries;
+  }
+  return t;
 }
 
 std::string hexPc(uint64_t pc) {
@@ -96,10 +81,11 @@ std::string hexPc(uint64_t pc) {
 }  // namespace
 
 ProfileReport::Reconcile ProfileReport::reconcile() const {
+  const SiteTotals t = siteTotals(sites);
   Reconcile r;
-  r.siteRtlTicks = prof != nullptr ? prof->totalRtlTicks() : 0;
+  r.siteRtlTicks = t.rtlTicks;
   r.engineRtlTicks = engineRtlTicks;
-  r.siteQueries = prof != nullptr ? prof->totalQueries() : 0;
+  r.siteQueries = t.queries;
   r.solverQueries = solver.queries;
   return r;
 }
@@ -117,12 +103,13 @@ void ProfileReport::writeJson(std::ostream& os) const {
   w.endObject();
 
   w.key("sites").beginArray();
-  if (prof != nullptr) {
-    for (const auto& [pc, s] : prof->sites()) {
+  if (sites != nullptr) {
+    for (const auto& [pc, s] : sites->sites()) {
+      if (!profiled(s)) continue;
       w.beginObject();
       w.kv("pc", pc);
       w.kv("opcode", s.opcode);
-      w.kv("steps", s.steps);
+      w.kv("steps", s.hits);
       w.kv("rtl_ticks", s.rtlTicks);
       w.kv("forks", s.forks);
       w.kv("queries", s.queries);
@@ -136,8 +123,8 @@ void ProfileReport::writeJson(std::ostream& os) const {
   w.endArray();
 
   w.key("opcodes").beginArray();
-  if (prof != nullptr) {
-    for (const auto& [name, row] : rollupOpcodes(*prof)) {
+  if (sites != nullptr) {
+    for (const auto& [name, row] : rollupOpcodes(*sites)) {
       w.beginObject();
       w.kv("opcode", name);
       w.kv("steps", row.steps);
@@ -153,15 +140,15 @@ void ProfileReport::writeJson(std::ostream& os) const {
   if (rtl != nullptr) {
     w.key("rtl").beginArray();
     const auto& counts = rtl->counts();
-    const auto& sites = rtl->sites();
-    for (size_t i = 0; i < sites.size(); ++i) {
+    const auto& stmts = rtl->sites();
+    for (size_t i = 0; i < stmts.size(); ++i) {
       if (counts[i] == 0) continue;
       w.beginObject();
-      w.kv("insn", sites[i].insn);
-      w.kv("stmt", sites[i].stmtIdx);
-      w.kv("op", core::stmtOpName(sites[i].op));
-      w.kv("line", sites[i].line);
-      w.kv("col", sites[i].col);
+      w.kv("insn", stmts[i].insn);
+      w.kv("stmt", stmts[i].stmtIdx);
+      w.kv("op", core::stmtOpName(stmts[i].op));
+      w.kv("line", stmts[i].line);
+      w.kv("col", stmts[i].col);
       w.kv("count", counts[i]);
       w.endObject();
     }
@@ -217,10 +204,10 @@ void ProfileReport::writeJson(std::ostream& os) const {
 }
 
 void ProfileReport::writeFolded(std::ostream& os) const {
-  if (prof == nullptr) return;
+  if (sites == nullptr) return;
   // One line per leaf frame: "root;frame;frame value". Roots carry the
   // sample unit so mixed stacks stay interpretable in flamegraph tools.
-  for (const auto& [pc, s] : prof->sites()) {
+  for (const auto& [pc, s] : sites->sites()) {
     if (s.rtlTicks != 0) {
       os << "exec_ticks;" << isa << ";" << s.opcode << ";pc=" << hexPc(pc)
          << " " << s.rtlTicks << "\n";
@@ -228,15 +215,15 @@ void ProfileReport::writeFolded(std::ostream& os) const {
   }
   if (rtl != nullptr) {
     const auto& counts = rtl->counts();
-    const auto& sites = rtl->sites();
-    for (size_t i = 0; i < sites.size(); ++i) {
+    const auto& stmts = rtl->sites();
+    for (size_t i = 0; i < stmts.size(); ++i) {
       if (counts[i] == 0) continue;
-      os << "rtl_ticks;" << isa << ";" << sites[i].insn << ";s"
-         << sites[i].stmtIdx << ":" << core::stmtOpName(sites[i].op) << " "
+      os << "rtl_ticks;" << isa << ";" << stmts[i].insn << ";s"
+         << stmts[i].stmtIdx << ":" << core::stmtOpName(stmts[i].op) << " "
          << counts[i] << "\n";
     }
   }
-  for (const auto& [pc, s] : prof->sites()) {
+  for (const auto& [pc, s] : sites->sites()) {
     if (s.canon.gates != 0) {
       os << "solver_gates;" << isa << ";" << s.opcode << ";pc=" << hexPc(pc)
          << " " << s.canon.gates << "\n";
@@ -245,17 +232,14 @@ void ProfileReport::writeFolded(std::ostream& os) const {
 }
 
 void ProfileReport::writeSummary(json::Writer& w) const {
-  const Reconcile r = reconcile();
+  const SiteTotals t = siteTotals(sites);
   w.key("profile").beginObject();
   w.kv("schema", "adlsym-profile-v2");
   w.kv("rtl_ticks", engineRtlTicks);
-  w.kv("sites", static_cast<uint64_t>(prof != nullptr ? prof->sites().size()
-                                                      : 0));
-  w.kv("attributed_queries",
-       prof != nullptr ? prof->totalQueries() : uint64_t{0});
-  w.kv("off_step_queries",
-       prof != nullptr ? prof->totalOffStepQueries() : uint64_t{0});
-  w.kv("reconciled", r.ok());
+  w.kv("sites", t.sites);
+  w.kv("attributed_queries", t.queries);
+  w.kv("off_step_queries", t.offStepQueries);
+  w.kv("reconciled", reconcile().ok());
   w.endObject();
 }
 
@@ -280,10 +264,10 @@ std::string ProfileReport::formatText() const {
        << "\n";
   }
 
-  if (prof != nullptr) {
+  if (sites != nullptr) {
     // Hottest opcodes by RTL ticks.
     std::vector<std::pair<std::string, OpRow>> ops;
-    for (auto& kv : rollupOpcodes(*prof)) ops.push_back(kv);
+    for (auto& kv : rollupOpcodes(*sites)) ops.push_back(kv);
     std::stable_sort(ops.begin(), ops.end(), [](const auto& a, const auto& b) {
       return a.second.rtlTicks > b.second.rtlTicks;
     });
@@ -296,8 +280,8 @@ std::string ProfileReport::formatText() const {
     }
 
     // Most expensive branch sites by canonical solver gates.
-    std::vector<std::pair<uint64_t, ProfileCollector::SiteCost>> hot;
-    for (const auto& kv : prof->sites()) {
+    std::vector<std::pair<uint64_t, Site>> hot;
+    for (const auto& kv : sites->sites()) {
       if (kv.second.queries + kv.second.offStepQueries != 0) {
         hot.push_back(kv);
       }

@@ -1,13 +1,13 @@
-// Deterministic cost-attribution profiler (docs/observability.md): an
-// ExploreObserver that charges execution cost (steps, RTL ticks) and
-// solver cost (queries + canonical terms/gates/conflicts) to the ADL
-// semantic site that incurred it — the pc, and through the decoder the
-// mnemonic — plus a report type that joins those sites with the
-// per-RTL-statement tables (core::RtlProfile), the solver aggregate and
-// the query-shape rows into the adlsym-profile-v2 JSON document, a
-// collapsed-stack file for flamegraph tooling, and the top-level
-// "profile" summary block of the v6 stats schema. v2 adds per-site
-// abstract-prefilter hit/miss attribution (docs/absdomain.md).
+// Deterministic cost-attribution profiler (docs/observability.md): a
+// report type that joins the per-pc site table (obs::SiteStatsCollector,
+// which charges execution cost — steps, RTL ticks — and solver cost —
+// queries + canonical terms/gates/conflicts — to the pc that incurred it,
+// and through the decoder to its mnemonic) with the per-RTL-statement
+// tables (core::RtlProfile), the solver aggregate and the query-shape
+// rows into the adlsym-profile-v2 JSON document, a collapsed-stack file
+// for flamegraph tooling, and the top-level "profile" summary block of
+// the stats document. v2 adds per-site abstract-prefilter hit/miss
+// attribution (docs/absdomain.md).
 //
 // Every number here is canonical: per-step solver deltas replay cached
 // costs (smt::QueryCost), RTL tick counts depend only on what executed,
@@ -20,13 +20,11 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <string>
 
-#include "core/observer.h"
 #include "core/rtlprofile.h"
-#include "decode/decoder.h"
+#include "obs/sitestats.h"
 #include "smt/qcache.h"
 #include "smt/solver.h"
 
@@ -36,59 +34,6 @@ class Writer;
 
 namespace adlsym::obs {
 
-class ProfileCollector final : public core::ExploreObserver {
- public:
-  ProfileCollector(const adl::ArchModel& model, const loader::Image& image)
-      : image_(image), decoder_(model) {}
-
-  /// Thread-safe: parallel workers report concurrently (one mutex guards
-  /// the decoder cache and the site table). All fields it reads from
-  /// StepInfo are step-scoped deltas, never run* accumulators — in the
-  /// parallel engine the latter are worker-local and meaningless summed.
-  void onStepEnd(const StepInfo& info) override;
-
-  /// Budget-cut witness solves happen outside any step window; both
-  /// engines report them here so per-site query sums still reconcile
-  /// with the solver's aggregate query count.
-  void onOffStepSolve(uint64_t pc, uint64_t queries, uint64_t canonTerms,
-                      uint64_t canonGates, uint64_t canonConflicts,
-                      uint64_t preHits, uint64_t preMisses) override;
-
-  struct SiteCost {
-    std::string opcode;  // mnemonic; "<illegal>" when undecodable
-    uint64_t steps = 0;
-    uint64_t rtlTicks = 0;
-    uint64_t forks = 0;          // steps yielding >1 successor
-    uint64_t queries = 0;        // issued inside this site's step windows
-    uint64_t offStepQueries = 0;  // budget-cut witness solves charged here
-    smt::QueryCost canon;        // canonical solver cost (replayed on hits)
-    /// Abstract-prefilter outcomes of this site's queries, per issuance
-    /// (replayed like canon, so schedule-independent).
-    uint64_t prefilterHits = 0;
-    uint64_t prefilterMisses = 0;
-  };
-
-  const std::map<uint64_t, SiteCost>& sites() const { return sites_; }
-
-  // Collector-side totals; the report checks these against the engine and
-  // solver aggregates (reconciliation).
-  uint64_t totalSteps() const { return totalSteps_; }
-  uint64_t totalRtlTicks() const { return totalTicks_; }
-  /// In-step plus off-step queries — must equal the solver's query count.
-  uint64_t totalQueries() const { return totalQueries_; }
-  uint64_t totalOffStepQueries() const { return totalOffStep_; }
-
- private:
-  mutable std::mutex mu_;
-  const loader::Image& image_;
-  decode::Decoder decoder_;
-  std::map<uint64_t, SiteCost> sites_;  // pc -> cost
-  uint64_t totalSteps_ = 0;
-  uint64_t totalTicks_ = 0;
-  uint64_t totalQueries_ = 0;
-  uint64_t totalOffStep_ = 0;
-};
-
 /// Joined view rendered after a run: collector sites + RTL statement
 /// tables + solver/qcache aggregates. Plain struct — the CLI fills the
 /// fields it has and calls the writers; null optional parts are skipped.
@@ -96,11 +41,13 @@ struct ProfileReport {
   std::string isa;      // ArchModel name
   std::string program;  // image path as given on the command line
 
-  const ProfileCollector* prof = nullptr;  // required by all writers
-  const core::RtlProfile* rtl = nullptr;   // per-statement tables; optional
+  const SiteStatsCollector* sites = nullptr;  // required by all writers
+  const core::RtlProfile* rtl = nullptr;  // per-statement tables; optional
 
-  uint64_t engineSteps = 0;     // ExploreSummary::totalSteps
-  uint64_t engineRtlTicks = 0;  // engine.rtl_ticks counter (merged)
+  uint64_t engineSteps = 0;  // ExploreSummary::totalSteps
+  /// RtlProfile::total(): the statement counts the executors flushed,
+  /// accumulated apart from the per-step observer deltas.
+  uint64_t engineRtlTicks = 0;
 
   smt::SolverTelemetry solver;  // aggregate snapshot (merged across workers)
   bool hasQcache = false;       // shared cache attached (parallel runs)
@@ -128,8 +75,8 @@ struct ProfileReport {
   /// Roots name their unit: exec_ticks (RTL statements), solver_gates
   /// (canonical AIG gates).
   void writeFolded(std::ostream& os) const;
-  /// The top-level "profile" summary block of adlsym-stats-v8 (appended
-  /// to an open object; emitted only on profiling runs).
+  /// The top-level "profile" summary block of the stats document
+  /// (appended to an open object; emitted only on profiling runs).
   void writeSummary(json::Writer& w) const;
   /// Human-readable tables for `adlsym profile` stdout.
   std::string formatText() const;

@@ -58,14 +58,8 @@ void BitBlaster::GateTable::clear() {
   used_.clear();
 }
 
-void BitBlaster::setTelemetry(telemetry::Telemetry* t) {
-  gatesCtr_ = t ? &t->metrics().counter("blast.gates") : nullptr;
-  termsCtr_ = t ? &t->metrics().counter("blast.terms_blasted") : nullptr;
-}
-
 Lit BitBlaster::freshLit() {
   ++stats_.gates;
-  if (gatesCtr_) gatesCtr_->add();
   return Lit(sat_.newVar(), false);
 }
 
@@ -266,7 +260,6 @@ const BitBlaster::Bits& BitBlaster::blast(TermId id) {
       continue;
     }
     ++stats_.termsBlasted;
-    if (termsCtr_) termsCtr_->add();
     const unsigned w = n.width;
     Bits out;
     auto A = [&]() -> const Bits& { return *findBlasted(n.a); };

@@ -9,7 +9,6 @@
 
 #include "smt/sat.h"
 #include "smt/term.h"
-#include "support/telemetry.h"
 
 namespace adlsym::smt {
 
@@ -20,7 +19,7 @@ class BitBlaster {
   /// Return to the just-constructed state over a SAT core that has just
   /// been reset (SatSolver::reset()): forget every blasted term and gate,
   /// zero the stats, and allocate the constant-true literal again. Table
-  /// capacity is kept; attached telemetry stays attached.
+  /// capacity is kept.
   void reset();
 
   /// SAT literal representing a width-1 term; encodes the term's cone into
@@ -55,10 +54,6 @@ class BitBlaster {
     }
   };
   const Stats& stats() const { return stats_; }
-
-  /// Attach telemetry (null to detach): mirrors gate/term counts into the
-  /// blast.gates / blast.terms_blasted registry counters.
-  void setTelemetry(telemetry::Telemetry* t);
 
  private:
   Lit trueLit() const { return trueLit_; }
@@ -128,9 +123,6 @@ class BitBlaster {
   GateTable andCache_;
   GateTable xorCache_;
   Stats stats_;
-
-  telemetry::Counter* gatesCtr_ = nullptr;
-  telemetry::Counter* termsCtr_ = nullptr;
 };
 
 }  // namespace adlsym::smt

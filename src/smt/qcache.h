@@ -91,7 +91,7 @@ class QueryCache {
       const uint64_t total = hits + misses;
       return total ? double(hits) / double(total) : 0.0;
     }
-    /// The "qcache" object of the stats schema (adlsym-stats-v8). Emits
+    /// The "qcache" object of the stats document. Emits
     /// only scheduling-independent fields.
     void writeJson(json::Writer& w) const;
   };

@@ -364,14 +364,12 @@ void SatSolver::reduceDB() {
 }
 
 void SatSolver::setTelemetry(telemetry::Telemetry* t) {
-  solvesCtr_ = t ? &t->metrics().counter("sat.solves") : nullptr;
   conflictsHist_ = t ? &t->metrics().histogram("sat.conflicts_per_solve") : nullptr;
   decisionsHist_ = t ? &t->metrics().histogram("sat.decisions_per_solve") : nullptr;
 }
 
 SatResult SatSolver::solve(const std::vector<Lit>& assumptions) {
-  if (!solvesCtr_) return solveImpl(assumptions);
-  solvesCtr_->add();
+  if (!conflictsHist_) return solveImpl(assumptions);
   const uint64_t conflicts0 = stats_.conflicts;
   const uint64_t decisions0 = stats_.decisions;
   const SatResult r = solveImpl(assumptions);

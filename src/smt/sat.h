@@ -194,7 +194,6 @@ class SatSolver {
   uint64_t deadlineMicros_ = 0;
   uint64_t learnedLimit_ = 4096;
 
-  telemetry::Counter* solvesCtr_ = nullptr;
   telemetry::Histogram* conflictsHist_ = nullptr;
   telemetry::Histogram* decisionsHist_ = nullptr;
 };

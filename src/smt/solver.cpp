@@ -248,16 +248,8 @@ SolverTelemetry SmtSolver::telemetrySnapshot() const {
 void SmtSolver::setTelemetry(telemetry::Telemetry* t) {
   tel_ = t;
   queryHist_ = t ? &t->metrics().histogram("solver.query_us") : nullptr;
-  queryCtr_ = t ? &t->metrics().counter("solver.queries") : nullptr;
-  cacheHitCtr_ = t ? &t->metrics().counter("solver.cache_hits") : nullptr;
-  cacheMissCtr_ = t ? &t->metrics().counter("solver.cache_misses") : nullptr;
-  preHitCtr_ = t ? &t->metrics().counter("solver.prefilter_hits") : nullptr;
-  preMissCtr_ =
-      t ? &t->metrics().counter("solver.prefilter_misses") : nullptr;
   sat_.setTelemetry(t);
-  bb_.setTelemetry(t);
   scratchSat_.setTelemetry(t);
-  scratchBb_.setTelemetry(t);
   scratchTel_ = t;
 }
 
@@ -281,7 +273,6 @@ CheckResult SmtSolver::solveScratch(const std::vector<TermRef>& assumptions,
   telemetry::Telemetry* tel = onBooks ? tel_ : nullptr;
   if (scratchTel_ != tel) {
     scratchSat_.setTelemetry(tel);
-    scratchBb_.setTelemetry(tel);
     scratchTel_ = tel;
   }
   scratchSat_.reset();
@@ -388,8 +379,6 @@ class SmtSolver::CacheSlot {
   /// The lookup's outcome: on a hit, the entry's verdict, canonical cost,
   /// model presence and prefilter tag.
   const QueryCache::Outcome& outcome() const { return hit_; }
-  /// A miss on a real cache (the telemetry miss counter's unit).
-  bool missed() const { return !hit_.hit && (local_ || owner_); }
 
   /// Hit with a model: load it into model_. A slot-indexed model is
   /// translated back to this pool's variables (slotVars_[i] is the Var
@@ -504,7 +493,6 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
                                  bool needModel) {
   fault::hit("solver.check");
   ++stats_.queries;
-  if (queryCtr_) queryCtr_->add();
   // One clock for both the legacy Stats and the telemetry histogram: the
   // injected clock when telemetry is attached (deterministic tests), the
   // system clock otherwise.
@@ -548,10 +536,8 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
   auto seen = [&](uint8_t tag) {
     if (tag == 1 || tag == 2) {
       ++stats_.preHitSeen;
-      if (preHitCtr_) preHitCtr_->add();
     } else if (tag == 3) {
       ++stats_.preMissSeen;
-      if (preMissCtr_) preMissCtr_->add();
     }
   };
 
@@ -576,7 +562,6 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
     ++stats_.cacheHits;
     cached = true;
     cost = hit.cost;
-    if (cacheHitCtr_) cacheHitCtr_->add();
     seen(hit.preTag);
     if (hit.result == CheckResult::Sat) {
       if (hit.hasModel) {
@@ -588,7 +573,6 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
     }
     return finish(hit.result);
   }
-  if (cacheMissCtr_ && slot.missed()) cacheMissCtr_->add();
 
   // 4. Deadline: the per-query timeout (relative to query start) and the
   // run-wide deadline (absolute, set by the explorer from its remaining

@@ -209,8 +209,8 @@ class SmtSolver {
   SolverTelemetry telemetrySnapshot() const;
 
   /// Attach a telemetry bundle (may be null to detach): records the
-  /// solver.query_us latency histogram and query/cache counters;
-  /// forwarded to the SAT core and the bit-blaster for their own counters.
+  /// solver.query_us latency histogram; forwarded to the SAT core for its
+  /// per-solve histograms.
   void setTelemetry(telemetry::Telemetry* t);
 
   /// Attach a query listener (not owned, never detached; null is
@@ -373,11 +373,6 @@ class SmtSolver {
   // Telemetry (null when detached; hot paths branch on the pointers).
   telemetry::Telemetry* tel_ = nullptr;
   telemetry::Histogram* queryHist_ = nullptr;
-  telemetry::Counter* queryCtr_ = nullptr;
-  telemetry::Counter* cacheHitCtr_ = nullptr;
-  telemetry::Counter* cacheMissCtr_ = nullptr;
-  telemetry::Counter* preHitCtr_ = nullptr;
-  telemetry::Counter* preMissCtr_ = nullptr;
 };
 
 }  // namespace adlsym::smt

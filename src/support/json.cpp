@@ -138,6 +138,48 @@ const Value* Value::find(std::string_view key) const {
 
 namespace {
 
+/// A number that was not an integer token: exact only when fraction-free
+/// and within the range where doubles hold every integer.
+bool exactSmallInteger(double d) {
+  return std::trunc(d) == d && std::fabs(d) <= 0x1p53;
+}
+
+[[noreturn]] void notInteger(const Value& v, const char* type) {
+  if (!v.isNumber()) {
+    throw InputError(std::string("expected ") + type + ", got a non-number");
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%g", v.number);
+  throw InputError(std::string("number ") + buf + " is not " + type);
+}
+
+}  // namespace
+
+uint64_t Value::asU64() const {
+  if (isNumber()) {
+    // An integer token's sign is the double's ("-0" reads as 0).
+    if (intExact && !(number < 0)) return uintValue;
+    if (!intExact && number >= 0 && exactSmallInteger(number)) {
+      return static_cast<uint64_t>(number);
+    }
+  }
+  notInteger(*this, "an unsigned 64-bit integer");
+}
+
+int64_t Value::asI64() const {
+  if (isNumber()) {
+    if (intExact && (number < 0 || uintValue <= uint64_t{INT64_MAX})) {
+      return intValue;
+    }
+    if (!intExact && exactSmallInteger(number)) {
+      return static_cast<int64_t>(number);
+    }
+  }
+  notInteger(*this, "a signed 64-bit integer");
+}
+
+namespace {
+
 /// Recursive-descent parser over a string_view; `pos` is the next unread
 /// byte, reported in errors so a truncated file points at its end.
 class Parser {

@@ -86,14 +86,13 @@ struct Value {
   bool isArray() const { return kind == Kind::Array; }
   bool isObject() const { return kind == Kind::Object; }
 
-  /// Exact unsigned / signed reads preferring the integer payload; fall
-  /// back to truncating the double for non-integer tokens.
-  uint64_t asU64() const {
-    return intExact ? uintValue : static_cast<uint64_t>(number);
-  }
-  int64_t asI64() const {
-    return intExact ? intValue : static_cast<int64_t>(number);
-  }
+  /// Exact unsigned / signed reads: the value must be an integer that
+  /// fits the type — an integer token, or a fraction-free number no larger
+  /// in magnitude than 2^53 (such as 1e3). A fraction, a negative for
+  /// asU64, an out-of-range value or a non-number throws InputError: the
+  /// stats, events and checkpoint readers take these values as counts.
+  uint64_t asU64() const;
+  int64_t asI64() const;
 
   /// First member with this key, or null when absent / not an object.
   const Value* find(std::string_view key) const;

@@ -53,9 +53,6 @@ uint64_t Histogram::bucketUpperBound(size_t i) {
 
 void MetricsRegistry::writeJson(json::Writer& w) const {
   w.beginObject();
-  w.key("counters").beginObject();
-  for (const auto& [name, c] : counters_) w.kv(name, c.value);
-  w.endObject();
   w.key("gauges").beginObject();
   for (const auto& [name, g] : gauges_) w.kv(name, g.value);
   w.endObject();
@@ -90,9 +87,6 @@ void MetricsRegistry::mergeFromJson(const json::Value& v) {
     }
     return s;
   };
-  if (const json::Value* cs = section("counters")) {
-    for (const auto& [name, val] : cs->object) counters_[name].add(val.asU64());
-  }
   if (const json::Value* gs = section("gauges")) {
     for (const auto& [name, val] : gs->object) gauges_[name].setMax(val.asI64());
   }

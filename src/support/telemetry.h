@@ -1,6 +1,8 @@
 // Unified telemetry layer (docs/observability.md): a metrics registry of
-// named counters / gauges / fixed-bucket latency histograms and RAII
-// scoped timers. Structured events go through obs::EventBus.
+// named gauges and fixed-bucket latency histograms, and RAII scoped
+// timers. Structured events go through obs::EventBus. Counts live in the
+// typed records that own them (ExploreSummary, SolverTelemetry, ...);
+// the registry holds only what no record carries.
 // Every hot layer (engine, explorer, solver) takes an optional Telemetry*
 // and is zero-cost when it is null: call sites branch on the pointer and
 // no clock is read, no field is built, nothing allocates.
@@ -20,6 +22,11 @@ struct Value;
 }
 
 namespace adlsym::telemetry {
+
+/// Schema tag of the stats document (docs/observability.md), whose
+/// "metrics" object is MetricsRegistry::writeJson(). Every writer and
+/// checker of the document reads this one constant.
+inline constexpr char kStatsSchema[] = "adlsym-stats-v9";
 
 // ---- clock ------------------------------------------------------------
 
@@ -56,11 +63,6 @@ class ManualClock final : public Clock {
 };
 
 // ---- metrics ----------------------------------------------------------
-
-struct Counter {
-  uint64_t value = 0;
-  void add(uint64_t d = 1) { value += d; }
-};
 
 struct Gauge {
   int64_t value = 0;
@@ -116,39 +118,36 @@ class Histogram {
 /// resolve a metric once and keep the pointer.
 class MetricsRegistry {
  public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
   Gauge& gauge(const std::string& name) { return gauges_[name]; }
   Histogram& histogram(const std::string& name) { return histograms_[name]; }
 
-  const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }
   const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
   }
 
-  /// Fold another registry in: counters add, gauges keep the maximum,
-  /// histograms merge bucket-wise. Names only present in `o` are created.
+  /// Fold another registry in: gauges keep the maximum, histograms merge
+  /// bucket-wise. Names only present in `o` are created.
   /// Used to merge per-worker registries into the main one after a
   /// parallel run (std::map keeps the union's JSON order canonical).
   void mergeFrom(const MetricsRegistry& o) {
-    for (const auto& [name, c] : o.counters_) counters_[name].add(c.value);
     for (const auto& [name, g] : o.gauges_) gauges_[name].setMax(g.value);
     for (const auto& [name, h] : o.histograms_) histograms_[name].merge(h);
   }
 
-  /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,max,
-  /// mean,buckets:[...]}}} — the "metrics" object of the stats schema.
+  /// {"gauges":{...},"histograms":{name:{count,sum,max,mean,buckets:[...]}}}
+  /// — the "metrics" object of the stats schema.
   void writeJson(json::Writer& w) const;
   std::string toJson() const;
 
   /// Fold a parsed writeJson() document in, with mergeFrom() semantics
-  /// (counters add, gauges setMax, histograms merge). Checkpoint restore:
-  /// the consumed-budget baseline of a resumed run. Throws InputError on a
-  /// malformed document.
+  /// (gauges setMax, histograms merge). Checkpoint restore: the
+  /// consumed-budget baseline of a resumed run. A "counters" member
+  /// (written before adlsym-stats-v9) is accepted and ignored. Throws
+  /// InputError on a malformed document.
   void mergeFromJson(const json::Value& v);
 
  private:
-  std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
 };

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "driver/cli.h"
+#include "driver/session.h"
 
 namespace adlsym::driver::cli {
 namespace {
@@ -145,14 +146,15 @@ TEST(Cli, ExploreStatsJsonAndEvents) {
     EXPECT_NE(r.output.find("paths=2"), std::string::npos);
 
     const std::string stats = slurp(opt.statsJsonPath);
-    EXPECT_NE(stats.find("\"schema\":\"adlsym-stats-v8\""), std::string::npos);
+    EXPECT_NE(stats.find("\"schema\":\"adlsym-stats-v9\""), std::string::npos);
     EXPECT_NE(stats.find("\"command\":\"explore\""), std::string::npos);
     EXPECT_NE(stats.find("\"isa\":\"rv32e\""), std::string::npos);
     EXPECT_NE(stats.find("\"paths\":2"), std::string::npos);
     EXPECT_NE(stats.find("\"solver\""), std::string::npos);
     EXPECT_NE(stats.find("\"solver.query_us\""), std::string::npos);
     EXPECT_NE(stats.find("\"metrics\""), std::string::npos);
-    EXPECT_NE(stats.find("\"explore.paths\":2"), std::string::npos);
+    // The registry holds timings only; counts live in "summary".
+    EXPECT_EQ(stats.find("\"counters\""), std::string::npos) << stats;
 
     // v2 additions: per-opcode execution counts and the branch-site table.
     EXPECT_NE(stats.find("\"opcodes\":{"), std::string::npos) << stats;
@@ -184,9 +186,9 @@ TEST(Cli, RunStatsJson) {
   EXPECT_NE(stats.find("\"status\":\"exited\""), std::string::npos);
   EXPECT_NE(stats.find("\"exit_code\":1"), std::string::npos);
   // The run goes through the explorer on the bytecode engine, whose
-  // metrics replace the old per-runner step counter.
-  EXPECT_NE(stats.find("\"explore.paths\":1"), std::string::npos);
-  EXPECT_NE(stats.find("\"engine.steps\""), std::string::npos);
+  // timers fill the metrics; the registry counts nothing.
+  EXPECT_NE(stats.find("\"engine.decode_us\""), std::string::npos);
+  EXPECT_EQ(stats.find("\"counters\""), std::string::npos);
   EXPECT_EQ(stats.find("\"run.steps\""), std::string::npos);
 }
 
@@ -218,7 +220,7 @@ TEST(Cli, DispatchParsesObservabilityFlags) {
   const auto r = dispatch(
       {"explore", "rv32e", imgPath, "--stats-json=" + statsPath});
   EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(slurp(statsPath).find("\"adlsym-stats-v8\""), std::string::npos);
+  EXPECT_NE(slurp(statsPath).find("\"adlsym-stats-v9\""), std::string::npos);
 }
 
 TEST(Cli, PathForestFlagsAreDeterministic) {
@@ -355,6 +357,21 @@ TEST(Cli, MisuseMessagesNameTheFlag) {
                       "--qcache=off"})
                 .exitCode,
             0);
+}
+
+TEST(Cli, AdlbenchConflictBudgetMatchesDriver) {
+  // adlbench's in-process pipeline keeps its own copy of the solver
+  // conflict budget cmdExplore applies; the two must not drift apart.
+  const std::string src = slurp(ADLSYM_ADLBENCH_PIPELINE);
+  ASSERT_FALSE(src.empty());
+  std::smatch m;
+  ASSERT_TRUE(std::regex_search(
+      src, m, std::regex(R"(kConflictBudget\s*=\s*([0-9']+))")))
+      << "no kConflictBudget in " << ADLSYM_ADLBENCH_PIPELINE;
+  std::string digits = m[1].str();
+  std::erase(digits, '\'');
+  EXPECT_EQ(std::stoull(digits), kSolverConflictBudget)
+      << ADLSYM_ADLBENCH_PIPELINE << " disagrees with driver/session.h";
 }
 
 TEST(Cli, EveryUsageFlagParsesAndIsDocumented) {
@@ -666,7 +683,7 @@ TEST(CliLint, StatsJsonHasPassTimings) {
   const auto r = dispatch({"lint", "rv32e", "--stats-json=" + statsPath});
   EXPECT_EQ(r.exitCode, 0) << r.output;
   const std::string stats = slurp(statsPath);
-  EXPECT_NE(stats.find("\"schema\":\"adlsym-stats-v8\""), std::string::npos)
+  EXPECT_NE(stats.find("\"schema\":\"adlsym-stats-v9\""), std::string::npos)
       << stats;
   EXPECT_NE(stats.find("\"command\":\"lint\""), std::string::npos);
   EXPECT_NE(stats.find("\"lint\":{\"findings\":"), std::string::npos) << stats;

@@ -311,7 +311,7 @@ TEST(StatsV7, EventsBlockMatchesEmittedCounts) {
   const RunFiles rf = exploreWithRecorder("statsblock");
   ASSERT_EQ(rf.result.exitCode, 0) << rf.result.output;
   const json::Value stats = json::parse(slurp(rf.stats));
-  ASSERT_EQ(stats.find("schema")->str, "adlsym-stats-v8");
+  ASSERT_EQ(stats.find("schema")->str, "adlsym-stats-v9");
   const json::Value* events = stats.find("events");
   ASSERT_NE(events, nullptr);
   EXPECT_TRUE(events->find("enabled")->boolean);
@@ -398,7 +398,7 @@ TEST(Manifest, RecordsArtifactsWithHashes) {
   const json::Value man = json::parse(slurp(rf.manifest));
   EXPECT_EQ(man.find("schema")->str, "adlsym-run-v1");
   EXPECT_EQ(man.find("isa")->str, "rv32e");
-  EXPECT_EQ(man.find("stats_schema")->str, "adlsym-stats-v8");
+  EXPECT_EQ(man.find("stats_schema")->str, "adlsym-stats-v9");
   EXPECT_EQ(man.find("events_schema")->str, "adlsym-events-v1");
   const json::Value* arts = man.find("artifacts");
   ASSERT_NE(arts, nullptr);

@@ -218,9 +218,10 @@ TEST(Explorer, StateMergingRespectsIncompatibleTraces) {
   EXPECT_EQ(rm.statesMerged, 0u);
 }
 
-TEST(Explorer, TelemetryCountersMatchSummary) {
-  // The counters the explorer emits must agree exactly with the summary it
-  // returns — they are two views of the same events.
+TEST(Explorer, TelemetryTimesEveryStepAndQuery) {
+  // The registry holds timings, not counts: the summary and the solver
+  // stats own those. Each timing histogram still records once per event
+  // its owner counts.
   telemetry::ManualClock clk;
   telemetry::Telemetry tel(clk);
   SessionOptions opt;
@@ -228,15 +229,12 @@ TEST(Explorer, TelemetryCountersMatchSummary) {
   auto s = Session::forPortable(workloads::progBitcount(4), "rv32e", opt);
   const auto summary = s->explore();
   auto& m = tel.metrics();
-  EXPECT_EQ(m.counter("explore.steps").value, summary.totalSteps);
-  EXPECT_EQ(m.counter("explore.forks").value, summary.totalForks);
-  EXPECT_EQ(m.counter("explore.drops").value, summary.statesDropped);
-  EXPECT_EQ(m.counter("explore.merges").value, summary.statesMerged);
-  EXPECT_EQ(m.counter("explore.paths").value, summary.paths.size());
-  // The engine counts the same instruction executions.
-  EXPECT_EQ(m.counter("engine.steps").value, summary.totalSteps);
+  EXPECT_GT(summary.totalSteps, 0u);
+  EXPECT_EQ(m.histogram("engine.decode_us").count(), summary.totalSteps);
   EXPECT_GT(m.gauge("explore.frontier_peak").value, 0);
-  EXPECT_GT(m.counter("solver.queries").value, 0u);
+  EXPECT_GT(s->solver().stats().queries, 0u);
+  EXPECT_EQ(m.histogram("solver.query_us").count(),
+            s->solver().stats().queries);
 }
 
 TEST(Explorer, MaxWallSecondsUsesInjectableClock) {

@@ -356,7 +356,7 @@ class ParallelDeterminism : public ::testing::Test {
     const RunArtifacts base = explore(isa, img, strategy, 1);
     ASSERT_FALSE(base.statsJson.empty()) << isa << "/" << strategy;
     ASSERT_FALSE(base.forestJson.empty()) << isa << "/" << strategy;
-    EXPECT_NE(base.statsJson.find("\"schema\":\"adlsym-stats-v8\""),
+    EXPECT_NE(base.statsJson.find("\"schema\":\"adlsym-stats-v9\""),
               std::string::npos);
     EXPECT_NE(base.statsJson.find("\"qcache\":{\"enabled\":true"),
               std::string::npos);

@@ -255,12 +255,30 @@ TEST(RtlProfileTable, IndexesEveryStatementStably) {
 }
 
 // ---------------------------------------------------------------------
-// ProfileCollector unit behavior: per-site charging and totals.
+// The site table's profiler costs: per-site charging and totals.
 // ---------------------------------------------------------------------
 
-TEST(ProfileCollectorUnit, ChargesStepAndOffStepCostPerSite) {
+struct SiteTotals {
+  uint64_t steps = 0;
+  uint64_t rtlTicks = 0;
+  uint64_t queries = 0;  // in-step + off-step
+  uint64_t offStepQueries = 0;
+};
+
+SiteTotals siteTotals(const obs::SiteStatsCollector& c) {
+  SiteTotals t;
+  for (const auto& [pc, site] : c.sites()) {
+    t.steps += site.hits;
+    t.rtlTicks += site.rtlTicks;
+    t.queries += site.queries + site.offStepQueries;
+    t.offStepQueries += site.offStepQueries;
+  }
+  return t;
+}
+
+TEST(SiteCosts, ChargesStepAndOffStepCostPerSite) {
   auto s = Session::forPortable(workloads::progBitcount(3), "rv32e");
-  obs::ProfileCollector prof(s->model(), s->image());
+  obs::SiteStatsCollector prof(s->model(), s->image());
   const uint64_t entry = s->image().entry();
 
   core::ExploreObserver::StepInfo info;
@@ -277,16 +295,17 @@ TEST(ProfileCollectorUnit, ChargesStepAndOffStepCostPerSite) {
   prof.onOffStepSolve(entry, 2, 5, 7, 1, 1, 1);
   prof.onOffStepSolve(0xdeadbeef, 1, 0, 0, 0, 0, 1);  // undecodable site
 
-  EXPECT_EQ(prof.totalSteps(), 2u);
-  EXPECT_EQ(prof.totalRtlTicks(), 10u);
-  EXPECT_EQ(prof.totalQueries(), 4u);  // 1 in-step + 3 off-step
-  EXPECT_EQ(prof.totalOffStepQueries(), 3u);
+  const SiteTotals t = siteTotals(prof);
+  EXPECT_EQ(t.steps, 2u);
+  EXPECT_EQ(t.rtlTicks, 10u);
+  EXPECT_EQ(t.queries, 4u);  // 1 in-step + 3 off-step
+  EXPECT_EQ(t.offStepQueries, 3u);
 
   ASSERT_EQ(prof.sites().count(entry), 1u);
   const auto& site = prof.sites().at(entry);
   EXPECT_FALSE(site.opcode.empty());
   EXPECT_NE(site.opcode, "<illegal>");
-  EXPECT_EQ(site.steps, 2u);
+  EXPECT_EQ(site.hits, 2u);
   EXPECT_EQ(site.rtlTicks, 10u);
   EXPECT_EQ(site.forks, 1u);
   EXPECT_EQ(site.queries, 1u);
@@ -294,6 +313,9 @@ TEST(ProfileCollectorUnit, ChargesStepAndOffStepCostPerSite) {
   EXPECT_EQ(site.canon.gates, 11u + 7u);
   ASSERT_EQ(prof.sites().count(0xdeadbeef), 1u);
   EXPECT_EQ(prof.sites().at(0xdeadbeef).opcode, "<illegal>");
+  // Only executed sites count toward the opcode table.
+  EXPECT_EQ(prof.opcodeCounts().count("<illegal>"), 0u);
+  EXPECT_EQ(prof.opcodeCounts().at(site.opcode), 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -408,9 +430,9 @@ TEST(ThreadSafeObservers, SiteStatsMergeIsOrderIndependent) {
   EXPECT_EQ(opcodeTotal, kSteps);  // every step decoded to *some* bucket
 }
 
-TEST(ThreadSafeObservers, ProfileCollectorMergesConcurrentWorkers) {
+TEST(ThreadSafeObservers, SiteCostsMergeConcurrentWorkers) {
   auto s = Session::forPortable(workloads::progBitcount(3), "rv32e");
-  obs::ProfileCollector prof(s->model(), s->image());
+  obs::SiteStatsCollector prof(s->model(), s->image());
   const uint64_t entry = s->image().entry();
 
   constexpr int kThreads = 4;
@@ -431,10 +453,11 @@ TEST(ThreadSafeObservers, ProfileCollectorMergesConcurrentWorkers) {
   for (auto& th : pool) th.join();
 
   const uint64_t kSteps = uint64_t{kThreads} * kRounds;
-  EXPECT_EQ(prof.totalSteps(), kSteps);
-  EXPECT_EQ(prof.totalRtlTicks(), kSteps * 2);
-  EXPECT_EQ(prof.totalQueries(), kSteps + kThreads);
-  EXPECT_EQ(prof.totalOffStepQueries(), uint64_t{kThreads});
+  const SiteTotals tot = siteTotals(prof);
+  EXPECT_EQ(tot.steps, kSteps);
+  EXPECT_EQ(tot.rtlTicks, kSteps * 2);
+  EXPECT_EQ(tot.queries, kSteps + kThreads);
+  EXPECT_EQ(tot.offStepQueries, uint64_t{kThreads});
   ASSERT_EQ(prof.sites().size(), 1u);
   EXPECT_EQ(prof.sites().at(entry).canon.gates, kSteps * 3);
 }
@@ -450,7 +473,7 @@ TEST(OffStepAttribution, BudgetCutWitnessSolvesStillReconcile) {
   opt.explorer.maxStepsPerPath = 3;  // cut every path almost immediately
   auto s = Session::forPortable(workloads::progBitcount(3), "rv32e",
                                 std::move(opt));
-  obs::ProfileCollector prof(s->model(), s->image());
+  obs::SiteStatsCollector prof(s->model(), s->image());
   // Session::explore() doesn't take an observer; build the explorer over
   // the session's own executor and services with one attached.
   core::ExplorerConfig cfg = s->options().explorer;
@@ -462,8 +485,9 @@ TEST(OffStepAttribution, BudgetCutWitnessSolvesStillReconcile) {
     budgetCut += p.status == core::PathStatus::Budget ? 1 : 0;
   }
   EXPECT_GT(budgetCut, 0u);
-  EXPECT_GT(prof.totalOffStepQueries(), 0u);
-  EXPECT_EQ(prof.totalQueries(), s->solver().stats().queries);
+  const SiteTotals t = siteTotals(prof);
+  EXPECT_GT(t.offStepQueries, 0u);
+  EXPECT_EQ(t.queries, s->solver().stats().queries);
 }
 
 // ---------------------------------------------------------------------
@@ -557,7 +581,7 @@ class ProfileDeterminism : public ::testing::Test {
     EXPECT_EQ(rtlTicks, engine->find("rtl_ticks")->number) << where;
 
     // The stats document carries the v5 profile summary block.
-    EXPECT_NE(a.statsJson.find("\"schema\":\"adlsym-stats-v8\""),
+    EXPECT_NE(a.statsJson.find("\"schema\":\"adlsym-stats-v9\""),
               std::string::npos)
         << where;
     EXPECT_NE(a.statsJson.find("\"profile\":{\"schema\":\"adlsym-profile-v2\""),

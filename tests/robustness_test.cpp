@@ -14,6 +14,7 @@
 #include "driver/session.h"
 #include "smt/solver.h"
 #include "support/fault.h"
+#include "support/hash.h"
 #include "support/telemetry.h"
 #include "workloads/programs.h"
 
@@ -347,7 +348,7 @@ TEST_F(CliRobustness, ExhaustedBudgetExitsThreeWithTruncationStats) {
        "--stats-json=" + stats});
   EXPECT_EQ(r.exitCode, 3) << r.output;
   const std::string doc = slurpFile(stats);
-  EXPECT_NE(doc.find("\"schema\":\"adlsym-stats-v8\""), std::string::npos);
+  EXPECT_NE(doc.find("\"schema\":\"adlsym-stats-v9\""), std::string::npos);
   EXPECT_NE(doc.find("\"stop_reason\":\"max-steps\""), std::string::npos)
       << doc;
   EXPECT_NE(doc.find("\"truncated_by_reason\":{\"steps\":"), std::string::npos)
@@ -435,7 +436,7 @@ TEST_F(CliRobustness, ParallelBudgetExhaustionMatchesContract) {
        "--clock=manual", "--stats-json=" + stats});
   EXPECT_EQ(r.exitCode, 3) << r.output;
   const std::string doc = slurpFile(stats);
-  EXPECT_NE(doc.find("\"schema\":\"adlsym-stats-v8\""), std::string::npos);
+  EXPECT_NE(doc.find("\"schema\":\"adlsym-stats-v9\""), std::string::npos);
   EXPECT_NE(doc.find("\"stop_reason\":\"max-steps\""), std::string::npos)
       << doc;
   EXPECT_NE(doc.find("\"truncated_by_reason\":{\"steps\":"), std::string::npos)
@@ -499,6 +500,51 @@ TEST_F(CliRobustness, ParallelRejectsIncompatibleModes) {
       dispatch({"explore", "rv32e", imgPath, "--jobs", "65"}).exitCode, 2);
   EXPECT_EQ(
       dispatch({"explore", "rv32e", imgPath, "--qcache=0"}).exitCode, 2);
+}
+
+// Every JSON reader takes counts through json::Value::asU64/asI64, which
+// reject a number that is not an exact integer of the type (a fraction,
+// a negative, an out-of-range value) instead of casting it.
+TEST_F(CliRobustness, HostileEventNumberIsBadInput) {
+  const std::string ev = testing::TempDir() + "robust_hostile.jsonl";
+  std::ofstream(ev, std::ios::binary)
+      << "{\"v\":1,\"type\":\"step\",\"rtl_ticks\":-2.5}\n";
+  const auto r = driver::cli::dispatch({"events", "summarize", ev});
+  EXPECT_EQ(r.exitCode, 2) << r.output;
+  EXPECT_NE(r.output.find("-2.5"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("18446744073709551614"), std::string::npos)
+      << r.output;
+}
+
+TEST_F(CliRobustness, HostileCheckpointMetricsAreBadInput) {
+  using driver::cli::dispatch;
+  const std::string ck = testing::TempDir() + "robust_hostile.ckpt";
+  const std::string stats = testing::TempDir() + "robust_hostile_stats.json";
+  const auto w = dispatch({"explore", "rv32e", imgPath, "--jobs", "1",
+                           "--clock=manual", "--stats-json=" + stats,
+                           "--checkpoint=" + ck, "--checkpoint-every=1"});
+  ASSERT_EQ(w.exitCode, 0) << w.output;
+  // The parent run resumes from its own checkpoint.
+  ASSERT_EQ(dispatch({"explore", "rv32e", imgPath, "--jobs", "1",
+                      "--clock=manual", "--resume=" + ck})
+                .exitCode,
+            0);
+  std::string doc = slurpFile(ck);
+  const size_t metrics = doc.find("\"metrics\":");
+  ASSERT_NE(metrics, std::string::npos);
+  const size_t count = doc.find("\"count\":", metrics);
+  ASSERT_NE(count, std::string::npos) << doc.substr(metrics, 200);
+  const size_t digits = count + 8;
+  doc.replace(digits, doc.find_first_not_of("0123456789", digits) - digits,
+              "1e30");
+  // Re-seal the edited body so only the number is hostile.
+  const std::string body = doc.substr(0, doc.find("\n#adlsym-ckpt-v1") + 1);
+  std::ofstream(ck, std::ios::binary | std::ios::trunc)
+      << body << "#adlsym-ckpt-v1 sha256=" << hash::sha256Hex(body) << '\n';
+  const auto r = dispatch({"explore", "rv32e", imgPath, "--jobs", "1",
+                           "--clock=manual", "--resume=" + ck});
+  EXPECT_EQ(r.exitCode, 2) << r.output;
+  EXPECT_NE(r.output.find("1e+30"), std::string::npos) << r.output;
 }
 
 TEST_F(CliRobustness, MalformedImageReportsLineContext) {

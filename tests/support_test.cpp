@@ -5,6 +5,7 @@
 
 #include "support/bits.h"
 #include "support/diag.h"
+#include "support/error.h"
 #include "support/json.h"
 #include "support/rng.h"
 #include "support/strings.h"
@@ -175,6 +176,29 @@ TEST(Json, FractionalAndExponentTokensAreNotExact) {
   EXPECT_TRUE(v.find("c")->intExact);
   EXPECT_EQ(v.find("c")->asU64(), 42u);
   EXPECT_EQ(v.find("c")->asI64(), 42);
+}
+
+TEST(Json, IntegerReadsRejectWhatDoesNotFit) {
+  const json::Value v = json::parse(
+      "{\"frac\":-2.5,\"neg\":-2,\"big\":1e30,\"u64max\":"
+      "18446744073709551615,\"over\":18446744073709551616,\"e3\":1e3,"
+      "\"negzero\":-0,\"s\":\"7\",\"t\":true}");
+  const auto u = [&v](const char* k) { return v.find(k)->asU64(); };
+  const auto i = [&v](const char* k) { return v.find(k)->asI64(); };
+  EXPECT_THROW(u("frac"), InputError);
+  EXPECT_THROW(i("frac"), InputError);
+  EXPECT_THROW(u("neg"), InputError);
+  EXPECT_EQ(i("neg"), -2);
+  EXPECT_THROW(u("big"), InputError);
+  EXPECT_THROW(i("big"), InputError);
+  EXPECT_EQ(u("u64max"), ~uint64_t{0});
+  EXPECT_THROW(i("u64max"), InputError);
+  EXPECT_THROW(u("over"), InputError);
+  EXPECT_EQ(u("e3"), 1000u);
+  EXPECT_EQ(i("e3"), 1000);
+  EXPECT_EQ(u("negzero"), 0u);
+  EXPECT_THROW(u("s"), InputError);
+  EXPECT_THROW(i("t"), InputError);
 }
 
 }  // namespace

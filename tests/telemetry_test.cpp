@@ -9,16 +9,16 @@ namespace {
 
 TEST(MetricsRegistry, CreateOnFirstUseAndStableRefs) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("engine.steps");
-  c.add();
-  c.add(4);
+  Histogram& h = reg.histogram("engine.decode_us");
+  h.record(1);
+  h.record(4);
   // Same name resolves to the same metric.
-  EXPECT_EQ(reg.counter("engine.steps").value, 5u);
+  EXPECT_EQ(reg.histogram("engine.decode_us").count(), 2u);
   // References stay valid while other metrics are created (map storage).
-  Counter* p = &c;
-  for (int i = 0; i < 100; ++i) reg.counter("c" + std::to_string(i));
-  EXPECT_EQ(p, &reg.counter("engine.steps"));
-  EXPECT_EQ(reg.counters().size(), 101u);
+  Histogram* p = &h;
+  for (int i = 0; i < 100; ++i) reg.histogram("h" + std::to_string(i));
+  EXPECT_EQ(p, &reg.histogram("engine.decode_us"));
+  EXPECT_EQ(reg.histograms().size(), 101u);
 
   Gauge& g = reg.gauge("explore.frontier_peak");
   g.setMax(3);
@@ -117,14 +117,25 @@ TEST(ScopedTimerTest, NullSafe) {
 
 TEST(TelemetryTest, RegistryJsonShape) {
   MetricsRegistry reg;
-  reg.counter("a").add(3);
   reg.gauge("g").set(-2);
   reg.histogram("h").record(4);
   const std::string j = reg.toJson();
-  EXPECT_NE(j.find("\"counters\":{\"a\":3}"), std::string::npos) << j;
-  EXPECT_NE(j.find("\"gauges\":{\"g\":-2}"), std::string::npos) << j;
+  EXPECT_EQ(j.rfind("{\"gauges\":{\"g\":-2},\"histograms\":{", 0), 0u) << j;
+  EXPECT_EQ(j.find("counters"), std::string::npos) << j;
   EXPECT_NE(j.find("\"count\":1"), std::string::npos) << j;
   EXPECT_NE(j.find("\"sum\":4"), std::string::npos) << j;
+}
+
+TEST(TelemetryTest, MergeFromJsonRoundTripsAndIgnoresCounters) {
+  MetricsRegistry reg;
+  reg.gauge("g").set(5);
+  reg.histogram("h").record(4);
+  // Checkpoints written before adlsym-stats-v9 carry a "counters" member.
+  std::string old = reg.toJson();
+  old.insert(1, "\"counters\":{\"explore.paths\":7},");
+  MetricsRegistry back;
+  back.mergeFromJson(json::parse(old));
+  EXPECT_EQ(back.toJson(), reg.toJson());
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 //                                          # document declares an unknown
 //                                          # schema version or contains a
 //                                          # top-level key outside the
-//                                          # adlsym-stats-v8 allowlist
+//                                          # stats-schema allowlist
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -23,6 +23,7 @@
 #include <string>
 
 #include "support/json.h"
+#include "support/telemetry.h"
 
 using adlsym::json::Value;
 
@@ -109,8 +110,8 @@ void emit(const Value& v, std::string* out, bool inSolver) {
   }
 }
 
-// Every top-level key any adlsym command may write into an
-// adlsym-stats-v8 document. The --check-keys gate fails CI when a new
+// Every top-level key any adlsym command may write into a stats document
+// (telemetry::kStatsSchema). The --check-keys gate fails CI when a new
 // block lands without being registered here (and documented in
 // docs/observability.md).
 int checkKeys(const Value& doc, const char* path) {
@@ -133,7 +134,7 @@ int checkKeys(const Value& doc, const char* path) {
   if (schema == nullptr || schema->kind != Value::Kind::String) {
     std::fprintf(stderr, "stats_strip: %s: missing schema key\n", path);
     rc = 1;
-  } else if (schema->str != "adlsym-stats-v8") {
+  } else if (schema->str != adlsym::telemetry::kStatsSchema) {
     std::fprintf(stderr, "stats_strip: %s: unexpected schema '%s'\n", path,
                  schema->str.c_str());
     rc = 1;
